@@ -7,23 +7,18 @@ use eree_core::{MechanismKind, PrivacyParams};
 use eval::experiments::{figure5, release_cells};
 use eval::metrics::spearman;
 use std::hint::black_box;
-use tabulate::{compute_marginal_filtered, ranking2_filter, workload1};
+use tabulate::{ranking2_expr, workload1};
 
 fn bench_figure5(c: &mut Criterion) {
     let ctx = bench_context();
 
     let mut group = c.benchmark_group("figure5");
+    let filter = ranking2_expr();
     group.bench_function("filtered_tabulation", |b| {
-        b.iter(|| {
-            black_box(compute_marginal_filtered(
-                &ctx.dataset,
-                &workload1(),
-                ranking2_filter,
-            ))
-        })
+        b.iter(|| black_box(ctx.index.marginal_expr_sharded(&workload1(), &filter, 1)))
     });
 
-    let truth = compute_marginal_filtered(&ctx.dataset, &workload1(), ranking2_filter);
+    let truth = ctx.index.marginal_expr_sharded(&workload1(), &filter, 1);
     let keys: Vec<_> = truth.iter().map(|(k, _)| k).collect();
     let base: Vec<f64> = truth.iter().map(|(_, s)| s.count as f64).collect();
     group.bench_function("release_and_rank_filtered", |b| {

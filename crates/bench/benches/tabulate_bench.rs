@@ -8,8 +8,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sdl::{SdlConfig, SdlPublisher};
 use std::hint::black_box;
+use std::sync::Arc;
 use tabulate::{
-    compute_marginal_legacy, workload1, workload3, MarginalSpec, TabulationIndex, WorkplaceAttr,
+    compute_marginal_legacy, workload1, workload3, DatasetIndex, MarginalSpec, TabulationIndex,
+    WorkplaceAttr,
 };
 
 fn bench_engine(c: &mut Criterion) {
@@ -29,12 +31,12 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("index_build", |b| {
         b.iter(|| black_box(TabulationIndex::build(&ctx.dataset)))
     });
-    let index = TabulationIndex::build(&ctx.dataset);
+    let index = DatasetIndex::Single(Arc::new(TabulationIndex::build(&ctx.dataset)));
     group.bench_function("workload1_marginal_indexed", |b| {
-        b.iter(|| black_box(index.marginal(&workload1())))
+        b.iter(|| black_box(index.marginal_sharded(&workload1(), 1)))
     });
     group.bench_function("workload3_marginal_indexed", |b| {
-        b.iter(|| black_box(index.marginal(&workload3())))
+        b.iter(|| black_box(index.marginal_sharded(&workload3(), 1)))
     });
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -44,7 +46,7 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.bench_function("naics_only_marginal_indexed", |b| {
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Naics], vec![]);
-        b.iter(|| black_box(index.marginal(&spec)))
+        b.iter(|| black_box(index.marginal_sharded(&spec, 1)))
     });
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Old-vs-new tabulation timing: the legacy per-worker hash-map engine
-//! against the columnar CSR [`TabulationIndex`] engine, on the canonical
-//! eval dataset.
+//! against the columnar CSR engine ([`DatasetIndex`] over a flat
+//! [`TabulationIndex`]), on the canonical eval dataset.
 //!
 //! Writes `BENCH_tabulate.json` at the repo root (override with
 //! `--out <path>`), recording per-spec wall times and speedups plus the
@@ -32,11 +32,12 @@
 
 use eval::runner::EvalScale;
 use lodes::{Dataset, DatasetPanel, Generator, GeneratorConfig, PanelConfig};
+use std::sync::Arc;
 use std::time::Instant;
 use tabulate::{
     compute_flows_legacy, compute_marginal_legacy, simd_available, workload1, workload3,
-    FlowMarginal, Kernel, Marginal, MarginalSpec, RegionIndexBuilder, TabulationIndex, WorkerAttr,
-    WorkplaceAttr,
+    DatasetIndex, FlowMarginal, Kernel, Marginal, MarginalSpec, RegionIndexBuilder,
+    TabulationIndex, WorkerAttr, WorkplaceAttr,
 };
 
 /// Canonical eval data seed (same as `ExperimentContext::new`).
@@ -97,16 +98,14 @@ struct SpecResult {
 
 fn bench_spec(
     dataset: &Dataset,
-    index: &TabulationIndex,
+    index: &DatasetIndex,
     spec: &MarginalSpec,
     iters: usize,
     threads: usize,
 ) -> SpecResult {
     let (legacy_ms, legacy) = time_best(iters, || compute_marginal_legacy(dataset, spec));
-    let (scalar_1t_ms, scalar) = time_best(iters, || {
-        index.marginal_sharded_with_kernel(spec, 1, Kernel::Scalar)
-    });
-    let (indexed_ms, indexed) = time_best(iters, || index.marginal(spec));
+    let (scalar_1t_ms, scalar) = time_best(iters, || index.marginal(spec, None, 1, Kernel::Scalar));
+    let (indexed_ms, indexed) = time_best(iters, || index.marginal_sharded(spec, 1));
     // MT rows go through the same shard-count heuristic the release
     // engine applies: when the dataset is too small (or the host too
     // narrow) to pay for sharding, the 1-thread measurement IS the
@@ -146,11 +145,11 @@ fn bench_flows(
 ) -> SpecResult {
     let before = panel.quarter(0);
     let after = panel.quarter(1);
-    let before_index = TabulationIndex::build(before);
-    let after_index = TabulationIndex::build(after);
+    let flat = |d| DatasetIndex::Single(Arc::new(TabulationIndex::build(d)));
+    let (before_index, after_index) = (flat(before), flat(after));
     let (legacy_ms, legacy) = time_best(iters, || compute_flows_legacy(before, after, spec));
     let (scalar_1t_ms, scalar) = time_best(iters, || {
-        before_index.flows_sharded_with_kernel(&after_index, spec, 1, Kernel::Scalar)
+        before_index.flows(&after_index, spec, None, 1, Kernel::Scalar)
     });
     let (indexed_ms, indexed) =
         time_best(iters, || before_index.flows_sharded(&after_index, spec, 1));
@@ -221,14 +220,16 @@ fn bench_national(target_jobs: usize, iters: usize, threads: usize) -> String {
     let build_start = Instant::now();
     let mut builder = RegionIndexBuilder::new(&generator.geography());
     generator.for_each_establishment(|wp, workers| builder.push_establishment(wp, workers));
-    let index = builder.finish();
+    let region = builder.finish();
     let stream_build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let rss = peak_rss_mb();
+    let shards = region.num_shards();
+    let index = DatasetIndex::Sharded(Arc::new(region));
     eprintln!(
         "national: {} jobs, {} establishments, {} shards; stream build {:.0} ms; peak RSS {:.0} MiB",
         index.num_workers(),
         index.num_establishments(),
-        index.num_shards(),
+        shards,
         stream_build_ms,
         rss
     );
@@ -259,9 +260,8 @@ fn bench_national(target_jobs: usize, iters: usize, threads: usize) -> String {
     );
     let mut results = Vec::new();
     for spec in [workload1(), full_spec] {
-        let (scalar_1t_ms, scalar) = time_best(iters, || {
-            index.marginal_sharded_with_kernel(&spec, 1, Kernel::Scalar)
-        });
+        let (scalar_1t_ms, scalar) =
+            time_best(iters, || index.marginal(&spec, None, 1, Kernel::Scalar));
         let mut threads_ms = Vec::new();
         let mut auto_1t_ms = f64::INFINITY;
         for &t in &curve_threads {
@@ -313,7 +313,7 @@ fn bench_national(target_jobs: usize, iters: usize, threads: usize) -> String {
         "  \"national\": {{\n    \"jobs\": {},\n    \"establishments\": {},\n    \"shards\": {},\n    \"simd\": {},\n    \"stream_build_ms\": {:.3},\n    \"peak_rss_mb\": {:.1},\n    \"scaling\": [\n{}\n    ]\n  }}",
         index.num_workers(),
         index.num_establishments(),
-        index.num_shards(),
+        shards,
         simd_available(),
         stream_build_ms,
         rss,
@@ -419,6 +419,7 @@ fn main() {
     );
 
     let (build_ms, index) = time_best(iters, || TabulationIndex::build(&dataset));
+    let index = DatasetIndex::Single(Arc::new(index));
 
     // The full-attribute (workload3-class) spec: all establishment
     // attributes crossed with every worker attribute.

@@ -853,7 +853,7 @@ impl AgencyStore {
     /// Execute (or resume) season `name` against `dataset` under the
     /// agency's shared truth store: verify the dataset pin (binding it on
     /// the agency's first run), open the season, and drive
-    /// [`SeasonStore::run_cached`] with a cache backed by the persistent
+    /// [`SeasonStore::run_panel_cached_with_digest`] with a cache backed by the persistent
     /// [`TruthStore`] — so truths tabulated by *any* season of this agency
     /// are reused, digest-verified, with zero recomputation.
     pub fn run_season(
@@ -882,7 +882,8 @@ impl AgencyStore {
         self.bind_dataset(digest)?;
         let truths = self.truth_store_pinned(digest)?;
         let mut cache = TabulationCache::with_store(truths);
-        let result = season.run_cached_with_digest(dataset, digest, requests, &mut cache);
+        let result =
+            season.run_panel_cached_with_digest(None, dataset, digest, requests, &mut cache);
         // Refresh the audit view even when the run aborted mid-plan: the
         // season store reflects exactly what was durably persisted (and
         // charged) before the refusal, and that spend is real.

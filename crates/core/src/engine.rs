@@ -12,9 +12,8 @@
 //!   (`ReleaseRequest::shapes`), with a mechanism, an `(α, ε[, δ])`
 //!   budget (total or per-cell), an optional population filter (a
 //!   declarative, serializable [`FilterExpr`] via
-//!   [`ReleaseRequest::filter_expr`]; opaque closures survive as a
-//!   deprecated escape hatch), optional integer post-processing, and a
-//!   seed.
+//!   [`ReleaseRequest::filter_expr`]), optional integer post-processing,
+//!   and a seed.
 //! * [`ReleaseEngine`] — owns a [`Ledger`] and executes requests. Every
 //!   request is validated against the mechanism's constraints and the
 //!   remaining budget *before* any sampling happens; a rejected request
@@ -35,15 +34,15 @@
 //! aggregates, so a fixed seed yields bit-identical artifacts regardless
 //! of how many worker threads participate in either phase.
 //!
-//! Tabulation runs on a columnar employer-grouped
-//! [`TabulationIndex`] — built **once per
-//! dataset**: `execute_all` builds it per batch, [`TabulationCache`]
-//! (used by `SeasonStore::run`) holds it for a whole season. Within a
-//! batch or cache, each distinct `(MarginalSpec, filter identity)` is
-//! tabulated once; declarative filters are identified by their
-//! normalized structure (the [`FilterId`] digest is its compact
-//! fingerprint), so structurally equal expressions share even when
-//! constructed independently.
+//! Tabulation runs on a columnar employer-grouped [`DatasetIndex`] —
+//! built **once per dataset**: `execute_all` builds it per batch,
+//! [`TabulationCache`] (used by `SeasonStore::run` and, with a fresh
+//! cache, by the one-shot `execute` paths) holds it for a whole season.
+//! Truths are tabulated in exactly those two places. Within a batch or
+//! cache, each distinct `(MarginalSpec, filter)` is tabulated once;
+//! filters are identified by their normalized structure (the
+//! [`FilterId`] digest is its compact fingerprint), so structurally equal
+//! expressions share even when constructed independently.
 //!
 //! ```
 //! use eree_core::engine::{ReleaseEngine, ReleaseRequest};
@@ -89,7 +88,7 @@ use crate::mechanisms::{CellQuery, MechanismKind};
 use crate::metrics::{MetricsRegistry, REASON_REQUEST_INVALID};
 use crate::neighbors::NeighborKind;
 use crate::shape::ShapeRelease;
-use lodes::{Dataset, Worker};
+use lodes::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -97,44 +96,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tabulate::{
-    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Marginal, MarginalSpec,
-    RegionShardedIndex, TabulationIndex,
+    CellKey, DatasetIndex, FilterExpr, FilterId, FlowMarginal, FlowStats, Kernel, Marginal,
+    MarginalSpec, RegionShardedIndex, TabulationIndex,
 };
-
-/// Worker predicate for filtered (single-query) workloads — the opaque
-/// escape hatch. Prefer [`FilterExpr`] (via
-/// [`ReleaseRequest::filter_expr`]): an expression's identity is
-/// serializable, so structurally equal filters share tabulations and
-/// filter provenance survives in artifacts and season stores.
-pub type WorkerFilter = Arc<dyn Fn(&Worker) -> bool + Send + Sync>;
-
-/// How a request restricts the tabulated population.
-#[derive(Clone)]
-enum RequestFilter {
-    /// Declarative, serializable filter (the documented path).
-    Expr(FilterExpr),
-    /// Opaque closure (deprecated escape hatch); identity is the `Arc`
-    /// pointer, provenance records only a boolean.
-    Closure(WorkerFilter),
-}
-
-impl RequestFilter {
-    fn expr(&self) -> Option<&FilterExpr> {
-        match self {
-            RequestFilter::Expr(expr) => Some(expr),
-            RequestFilter::Closure(_) => None,
-        }
-    }
-}
-
-impl std::fmt::Debug for RequestFilter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RequestFilter::Expr(expr) => write!(f, "Expr({})", expr.id()),
-            RequestFilter::Closure(_) => write!(f, "Closure(<opaque>)"),
-        }
-    }
-}
 
 /// What kind of release a request describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,7 +151,7 @@ pub struct ReleaseRequest {
     spec: MarginalSpec,
     mechanism: Option<MechanismKind>,
     budget: Option<BudgetSpec>,
-    filter: Option<RequestFilter>,
+    filter: Option<FilterExpr>,
     integerize: bool,
     seed: u64,
     description: Option<String>,
@@ -200,7 +164,7 @@ impl std::fmt::Debug for ReleaseRequest {
             .field("spec", &self.spec.name())
             .field("mechanism", &self.mechanism)
             .field("budget", &self.budget)
-            .field("filter", &self.filter)
+            .field("filter", &self.filter.as_ref().map(FilterExpr::id))
             .field("integerize", &self.integerize)
             .field("seed", &self.seed)
             .finish()
@@ -248,7 +212,7 @@ impl ReleaseRequest {
     /// The rebuilt request reproduces the stored provenance exactly, so it
     /// passes the season store's resume verification.
     ///
-    /// Returns `None` for closure-filtered provenance (`filtered` with no
+    /// Returns `None` for pre-AST filtered provenance (`filtered` with no
     /// recorded expression): the population is not reconstructible.
     pub fn from_provenance(provenance: &RequestProvenance) -> Option<Self> {
         if provenance.filtered && provenance.filter.is_none() {
@@ -298,31 +262,12 @@ impl ReleaseRequest {
     /// `FilterExpr::All` — the engine prices the request by its form,
     /// not by what the expression happens to match).
     ///
-    /// Unlike a closure filter, the expression is recorded in the
-    /// artifact's provenance, keys the tabulation cache by its
-    /// normalized structure (structurally equal expressions share a
-    /// tabulation, no `Arc` reuse required — the [`FilterId`] digest is
-    /// only a compact fingerprint), and is verified across season
-    /// resumes.
+    /// The expression is recorded in the artifact's provenance, keys the
+    /// tabulation cache by its normalized structure (structurally equal
+    /// expressions share a tabulation — the [`FilterId`] digest is only a
+    /// compact fingerprint), and is verified across season resumes.
     pub fn filter_expr(mut self, expr: FilterExpr) -> Self {
-        self.filter = Some(RequestFilter::Expr(expr));
-        self
-    }
-
-    /// Restrict the tabulated population by an opaque worker predicate.
-    ///
-    /// Deprecated escape hatch: a closure's identity is its `Arc`
-    /// pointer, so only requests cloned from one handle share
-    /// tabulations, and provenance records nothing but a boolean flag —
-    /// a resumed season cannot verify *which* population was filtered.
-    /// Use [`filter_expr`](Self::filter_expr) unless the predicate
-    /// genuinely cannot be expressed as a [`FilterExpr`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use filter_expr(FilterExpr) — serializable identity, shared tabulations, verifiable provenance"
-    )]
-    pub fn filter(mut self, filter: impl Fn(&Worker) -> bool + Send + Sync + 'static) -> Self {
-        self.filter = Some(RequestFilter::Closure(Arc::new(filter)));
+        self.filter = Some(expr);
         self
     }
 
@@ -452,7 +397,7 @@ impl ReleaseRequest {
             budget_is_per_cell: plan.per_cell_budgeting,
             seed: self.seed,
             filtered: self.filter.is_some(),
-            filter: self.filter.as_ref().and_then(RequestFilter::expr).cloned(),
+            filter: self.filter.clone(),
             integerized: self.integerize,
             description: self.description(),
         }
@@ -499,9 +444,8 @@ pub struct RequestProvenance {
     pub filtered: bool,
     /// The declarative filter restricting the population, when the
     /// request used [`ReleaseRequest::filter_expr`]. `None` for
-    /// unfiltered requests, for the deprecated closure escape hatch
-    /// (whose only trace is [`filtered`](Self::filtered)), and for
-    /// artifacts persisted before the AST existed.
+    /// unfiltered requests and for filtered artifacts persisted before
+    /// the AST existed (whose only trace is [`filtered`](Self::filtered)).
     pub filter: Option<FilterExpr>,
     /// Whether outputs were rounded to non-negative integers.
     pub integerized: bool,
@@ -703,36 +647,18 @@ impl ReleaseArtifact {
 /// Execution order for batches and per-cell noising.
 const MIN_PARALLEL_CELLS: usize = 512;
 
-/// Identity of the filter of one tabulation, for cache keying.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum FilterKey {
-    /// The normalized form of a declarative filter: *structurally equal*
-    /// expressions share a tabulation no matter where or when they were
-    /// constructed. The expression itself is the key (not its
-    /// [`FilterId`] digest) so a digest collision can never alias two
-    /// different populations onto one cached truth.
-    Expr(FilterExpr),
-    /// Address of an opaque closure's shared [`WorkerFilter`] allocation:
-    /// only requests built from the *same* `Arc` (a cloned request, or
-    /// one handle reused across a batch) share. Cache entries hold a
-    /// clone of the `Arc`, so a keyed address can never be freed and
-    /// reused while the cache lives.
-    Opaque(usize),
-}
-
-/// Identity of one tabulation: the marginal spec plus the identity of the
+/// Identity of one tabulation: the marginal spec plus the *normalized*
 /// filter restricting its population (`None` when unfiltered).
-type TabulationKey = (MarginalSpec, Option<FilterKey>);
+/// Structurally equal expressions share a tabulation no matter where or
+/// when they were constructed; the expression itself is the key (not its
+/// [`FilterId`] digest), so a digest collision can never alias two
+/// different populations onto one cached truth.
+type TabulationKey = (MarginalSpec, Option<FilterExpr>);
 
 fn tabulation_key(request: &ReleaseRequest) -> TabulationKey {
     (
         request.spec.clone(),
-        request.filter.as_ref().map(|f| match f {
-            RequestFilter::Expr(expr) => FilterKey::Expr(expr.normalized()),
-            RequestFilter::Closure(closure) => {
-                FilterKey::Opaque(Arc::as_ptr(closure) as *const () as usize)
-            }
-        }),
+        request.filter.as_ref().map(FilterExpr::normalized),
     )
 }
 
@@ -748,9 +674,8 @@ enum TabulationSource {
 }
 
 /// A cache of tabulated truth marginals keyed by
-/// `(MarginalSpec, filter identity)` — the normalized expression for
-/// declarative filters, the `Arc` address for opaque closures — plus the
-/// shared columnar [`TabulationIndex`] they were computed from.
+/// `(MarginalSpec, normalized filter)`, plus the shared columnar
+/// [`DatasetIndex`] they were computed from.
 ///
 /// Tabulation is the engine's dominant cost for large universes; a batch
 /// (or a resumed publication season) whose requests share a marginal
@@ -771,14 +696,13 @@ enum TabulationSource {
 /// an earlier one, never re-tabulates. The store is pinned to one dataset
 /// digest, checked against the dataset on the **first tabulation through
 /// this cache** (one linear scan; a mismatch is refused loudly) and on
-/// every [`SeasonStore::run_cached`](crate::store::SeasonStore::run_cached)
+/// every [`SeasonStore::run_panel_cached_with_digest`](crate::store::SeasonStore::run_panel_cached_with_digest)
 /// — the one-dataset-per-cache contract above still rests on the caller
-/// for later direct `execute_cached` calls. Closure-filtered truths have
-/// no serializable identity and stay memory-only.
+/// for later direct `execute_cached` calls.
 #[derive(Default)]
 pub struct TabulationCache {
     index: Option<DatasetIndex>,
-    entries: BTreeMap<TabulationKey, (Arc<Marginal>, Option<WorkerFilter>)>,
+    entries: BTreeMap<TabulationKey, Arc<Marginal>>,
     store: Option<crate::truths::TruthStore>,
     /// Whether the dataset's digest has been checked against the store's.
     /// One linear pass per cache, on the first tabulation.
@@ -786,8 +710,9 @@ pub struct TabulationCache {
     /// Cached flow tabulations of the cache's one `(before, after)` pair.
     /// The cache's main `index` doubles as the *after* side (it is the
     /// index of the cache's one dataset — the current quarter); only the
-    /// *before* snapshot needs a second index.
-    flow_entries: BTreeMap<TabulationKey, (Arc<FlowMarginal>, Option<WorkerFilter>)>,
+    /// *before* snapshot needs a second index, always built here in the
+    /// after index's representation.
+    flow_entries: BTreeMap<TabulationKey, Arc<FlowMarginal>>,
     before_index: Option<DatasetIndex>,
     /// [`dataset_pair_digest`](crate::store::dataset_pair_digest) of the
     /// cache's one pair, computed (two full-dataset scans) or supplied by
@@ -801,8 +726,7 @@ impl TabulationCache {
         Self::default()
     }
 
-    /// An empty cache backed by a persistent truth store. Declaratively
-    /// identified tabulations (unfiltered or [`FilterExpr`]-filtered) are
+    /// An empty cache backed by a persistent truth store. Tabulations are
     /// served from and persisted to `store`; the cache may only ever be
     /// used with the dataset `store` is pinned to.
     pub fn with_store(store: crate::truths::TruthStore) -> Self {
@@ -827,19 +751,6 @@ impl TabulationCache {
     /// this cache will be used with.
     pub fn with_shared_index(mut self, index: DatasetIndex) -> Self {
         self.index = Some(index);
-        self
-    }
-
-    /// Seed the cache with an already built index of the *before*
-    /// snapshot for flow tabulations — the pair-wise analogue of
-    /// [`with_shared_index`](Self::with_shared_index) (which supplies the
-    /// *after*/current-quarter side). The same one-dataset contract
-    /// applies — and both quarters of a pair must use the same
-    /// representation (flat or region-sharded), which holds automatically
-    /// when both are built through [`DatasetIndex::build_auto`] on
-    /// same-scale panel quarters.
-    pub fn with_flow_before_index(mut self, index: DatasetIndex) -> Self {
-        self.before_index = Some(index);
         self
     }
 
@@ -905,49 +816,33 @@ impl TabulationCache {
         threads: usize,
     ) -> Result<(Arc<Marginal>, TabulationSource), EngineError> {
         let key = tabulation_key(request);
-        if let Some((truth, _)) = self.entries.get(&key) {
+        if let Some(truth) = self.entries.get(&key) {
             return Ok((Arc::clone(truth), TabulationSource::Memory));
         }
-        // The persistent layer only speaks serializable identities.
-        let filter_expr = match &request.filter {
-            Some(RequestFilter::Expr(expr)) => Some(expr),
-            Some(RequestFilter::Closure(_)) => None,
-            None => None,
-        };
-        let persistable = !matches!(&request.filter, Some(RequestFilter::Closure(_)));
-        if self.store.is_some() {
-            if !self.dataset_verified {
-                let digest = crate::store::dataset_digest(dataset);
-                self.verify_dataset_digest(digest)?;
-            }
-            let store = self.store.as_ref().expect("checked above");
-            if persistable {
-                if let Some(truth) = store.load(&request.spec, filter_expr) {
-                    let truth = Arc::new(truth);
-                    self.entries.insert(key, (Arc::clone(&truth), None));
-                    return Ok((truth, TabulationSource::Disk));
-                }
-            }
+        if self.store.is_some() && !self.dataset_verified {
+            let digest = crate::store::dataset_digest(dataset);
+            self.verify_dataset_digest(digest)?;
+        }
+        let filter = request.filter.as_ref();
+        if let Some(truth) = self
+            .store
+            .as_ref()
+            .and_then(|s| s.load(&request.spec, filter))
+        {
+            let truth = Arc::new(truth);
+            self.entries.insert(key, Arc::clone(&truth));
+            return Ok((truth, TabulationSource::Disk));
         }
         let index = self.index_for(dataset);
         let truth = Arc::new(tabulate_request(&index, request, threads));
-        if persistable {
-            if let Some(store) = &self.store {
-                store
-                    .save(&request.spec, filter_expr, &truth)
-                    .map_err(|e| EngineError::TruthStore {
-                        detail: format!("persisting freshly computed truth failed: {e}"),
-                    })?;
-            }
+        if let Some(store) = &self.store {
+            store
+                .save(&request.spec, filter, &truth)
+                .map_err(|e| EngineError::TruthStore {
+                    detail: format!("persisting freshly computed truth failed: {e}"),
+                })?;
         }
-        // Pin opaque closures so an `Opaque` key's address can never be
-        // freed and reused while the cache lives; declarative filters are
-        // keyed by their normalized structure and need no pinning.
-        let pinned = match &request.filter {
-            Some(RequestFilter::Closure(closure)) => Some(Arc::clone(closure)),
-            _ => None,
-        };
-        self.entries.insert(key, (Arc::clone(&truth), pinned));
+        self.entries.insert(key, Arc::clone(&truth));
         Ok((truth, TabulationSource::Computed))
     }
 
@@ -963,17 +858,13 @@ impl TabulationCache {
         threads: usize,
     ) -> Result<(Arc<FlowMarginal>, TabulationSource), EngineError> {
         let key = tabulation_key(request);
-        if let Some((truth, _)) = self.flow_entries.get(&key) {
+        if let Some(truth) = self.flow_entries.get(&key) {
             return Ok((Arc::clone(truth), TabulationSource::Memory));
         }
-        let filter_expr = match &request.filter {
-            Some(RequestFilter::Expr(expr)) => Some(expr),
-            Some(RequestFilter::Closure(_)) | None => None,
-        };
-        let persistable = !matches!(&request.filter, Some(RequestFilter::Closure(_)));
+        let filter = request.filter.as_ref();
         // Flow truths are content-addressed by the pair digest — computed
         // once per cache — so only store-backed caches pay for it.
-        let pair_digest = if self.store.is_some() && persistable {
+        let pair_digest = if self.store.is_some() {
             Some(*self.flow_pair_digest.get_or_insert_with(|| {
                 crate::store::dataset_pair_digest(
                     crate::store::dataset_digest(before),
@@ -984,9 +875,9 @@ impl TabulationCache {
             None
         };
         if let (Some(store), Some(pair)) = (self.store.as_ref(), pair_digest) {
-            if let Some(truth) = store.load_flows(pair, &request.spec, filter_expr) {
+            if let Some(truth) = store.load_flows(pair, &request.spec, filter) {
                 let truth = Arc::new(truth);
-                self.flow_entries.insert(key, (Arc::clone(&truth), None));
+                self.flow_entries.insert(key, Arc::clone(&truth));
                 return Ok((truth, TabulationSource::Disk));
             }
         }
@@ -1004,24 +895,21 @@ impl TabulationCache {
                 }
             })
             .clone();
-        let truth = Arc::new(tabulate_flow_request(
-            &before_index,
+        let truth = Arc::new(before_index.flows(
             &after_index,
-            request,
-            threads,
+            &request.spec,
+            filter,
+            before_index.effective_shards(threads),
+            Kernel::Auto,
         ));
         if let (Some(store), Some(pair)) = (self.store.as_ref(), pair_digest) {
             store
-                .save_flows(pair, &request.spec, filter_expr, &truth)
+                .save_flows(pair, &request.spec, filter, &truth)
                 .map_err(|e| EngineError::TruthStore {
                     detail: format!("persisting freshly computed flow truth failed: {e}"),
                 })?;
         }
-        let pinned = match &request.filter {
-            Some(RequestFilter::Closure(closure)) => Some(Arc::clone(closure)),
-            _ => None,
-        };
-        self.flow_entries.insert(key, (Arc::clone(&truth), pinned));
+        self.flow_entries.insert(key, Arc::clone(&truth));
         Ok((truth, TabulationSource::Computed))
     }
 }
@@ -1033,37 +921,12 @@ impl TabulationCache {
 /// fan-out first, so small datasets take the single-shard path instead of
 /// paying per-shard spawn/sort/merge overhead that exceeds the scan.
 fn tabulate_request(index: &DatasetIndex, request: &ReleaseRequest, threads: usize) -> Marginal {
-    let threads = index.effective_shards(threads);
-    match &request.filter {
-        Some(RequestFilter::Expr(expr)) => {
-            index.marginal_expr_sharded(&request.spec, expr, threads)
-        }
-        Some(RequestFilter::Closure(filter)) => {
-            index.marginal_filtered_sharded(&request.spec, |w| filter(w), threads)
-        }
-        None => index.marginal_sharded(&request.spec, threads),
-    }
-}
-
-/// Tabulate one flow request's truth over the shared pair of indexes,
-/// sharding the establishment loop (bit-identical at any thread count);
-/// a filter restricts the population on *both* sides of the pair.
-fn tabulate_flow_request(
-    before: &DatasetIndex,
-    after: &DatasetIndex,
-    request: &ReleaseRequest,
-    threads: usize,
-) -> FlowMarginal {
-    let threads = before.effective_shards(threads);
-    match &request.filter {
-        Some(RequestFilter::Expr(expr)) => {
-            before.flows_expr_sharded(after, &request.spec, expr, threads)
-        }
-        Some(RequestFilter::Closure(filter)) => {
-            before.flows_filtered_sharded(after, &request.spec, |w| filter(w), threads)
-        }
-        None => before.flows_sharded(after, &request.spec, threads),
-    }
+    index.marginal(
+        &request.spec,
+        request.filter.as_ref(),
+        index.effective_shards(threads),
+        Kernel::Auto,
+    )
 }
 
 /// Lifetime tabulation-cache counters of a [`ReleaseEngine`].
@@ -1147,28 +1010,17 @@ impl ReleaseEngine {
         self.tab_stats
     }
 
-    /// Validate `request`, charge the ledger, tabulate, and sample.
-    ///
-    /// Builds a throwaway [`TabulationIndex`] for the single tabulation;
-    /// batches and seasons ([`execute_all`](Self::execute_all),
-    /// [`execute_cached`](Self::execute_cached)) share one index across
-    /// requests instead.
+    /// Validate `request`, charge the ledger, tabulate, and sample —
+    /// [`execute_cached`](Self::execute_cached) with a fresh, throwaway
+    /// [`TabulationCache`]. Batches and seasons
+    /// ([`execute_all`](Self::execute_all), `execute_cached`) share one
+    /// index across requests instead.
     pub fn execute(
         &mut self,
         dataset: &Dataset,
         request: &ReleaseRequest,
     ) -> Result<ReleaseArtifact, EngineError> {
-        let started = Instant::now();
-        let result = (|| {
-            reject_flow_kind(request)?;
-            let plan = request.plan()?;
-            self.charge(request, &plan)?;
-            let index = DatasetIndex::build_auto(dataset);
-            let truth = tabulate_request(&index, request, self.threads);
-            Ok(self.sample(&truth, request, &plan, self.threads))
-        })();
-        self.observe(request.kind(), started, &result);
-        result
+        self.execute_cached(dataset, request, &mut TabulationCache::new())
     }
 
     /// Like [`execute`](Self::execute), but over an already-tabulated
@@ -1201,7 +1053,7 @@ impl ReleaseEngine {
     /// caller-owned [`TabulationCache`]: requests sharing a
     /// `(spec, filter)` tabulation — e.g. the sequential, persist-as-you-go
     /// releases of a publication season — pay for it once, and *all*
-    /// requests share the cache's one [`TabulationIndex`] of the dataset.
+    /// requests share the cache's one [`DatasetIndex`] of the dataset.
     /// The cache must only ever be used with one dataset.
     pub fn execute_cached(
         &mut self,
@@ -1231,29 +1083,17 @@ impl ReleaseEngine {
     }
 
     /// Validate a flow `request`, charge the ledger, tabulate job-flow
-    /// statistics over the `(before, after)` dataset pair, and sample.
-    ///
-    /// Builds two throwaway [`TabulationIndex`]es for the single
-    /// tabulation; drivers executing several flow requests over one pair
-    /// share them through
-    /// [`execute_flows_cached`](Self::execute_flows_cached).
+    /// statistics over the `(before, after)` dataset pair, and sample —
+    /// [`execute_flows_cached`](Self::execute_flows_cached) with a fresh,
+    /// throwaway [`TabulationCache`], so both quarters are always indexed
+    /// in the same representation.
     pub fn execute_flows(
         &mut self,
         before: &Dataset,
         after: &Dataset,
         request: &ReleaseRequest,
     ) -> Result<ReleaseArtifact, EngineError> {
-        let started = Instant::now();
-        let result = (|| {
-            let plan = flow_plan(request)?;
-            self.charge(request, &plan)?;
-            let before_index = DatasetIndex::build_auto(before);
-            let after_index = DatasetIndex::build_auto(after);
-            let truth = tabulate_flow_request(&before_index, &after_index, request, self.threads);
-            Ok(self.sample_flows(&truth, request, &plan, self.threads))
-        })();
-        self.observe(request.kind(), started, &result);
-        result
+        self.execute_flows_cached(before, after, request, &mut TabulationCache::new())
     }
 
     /// Like [`execute_flows`](Self::execute_flows), but over an
@@ -1840,9 +1680,6 @@ mod tests {
         let filtered =
             ReleaseRequest::marginal(workload1()).filter_expr(FilterExpr::sex(lodes::Sex::Female));
         assert_eq!(filtered.regime(), NeighborKind::Weak);
-        #[allow(deprecated)]
-        let closure = ReleaseRequest::marginal(workload1()).filter(|w| w.sex.index() == 1);
-        assert_eq!(closure.regime(), NeighborKind::Weak);
         assert_eq!(
             ReleaseRequest::marginal(workload3()).regime(),
             NeighborKind::Weak
@@ -2037,7 +1874,9 @@ mod tests {
 
     /// A season run over the region-sharded representation releases
     /// bit-identical artifacts (same truths, same draws, same digests) as
-    /// the flat index — sharding is a pure representation choice.
+    /// the flat index — sharding is a pure representation choice. That
+    /// holds for flows too: a cache seeded with only a sharded after-index
+    /// builds its before-index in the same representation.
     #[test]
     fn sharded_index_seasons_release_bit_identical_artifacts() {
         let d = dataset();
@@ -2069,6 +1908,34 @@ mod tests {
                 .unwrap();
             assert_eq!(flat, sharded);
             assert_eq!(flat.truth_digest, sharded.truth_digest);
+        }
+
+        let (q0, q1) = quarter_pair();
+        let flows = [
+            flow_request(),
+            flow_request()
+                .filter_expr(FilterExpr::sex(lodes::Sex::Male))
+                .seed(78),
+        ];
+        let budget = PrivacyParams::approximate(0.1, 12.0, 0.12);
+        let mut flat_engine = ReleaseEngine::new(budget);
+        let mut flat_cache = TabulationCache::new();
+        let mut sharded_engine = ReleaseEngine::new(budget);
+        let sharded_q1 = DatasetIndex::build_with_threshold(&q1, 1);
+        assert!(sharded_q1.is_sharded());
+        let mut sharded_cache = TabulationCache::new().with_shared_index(sharded_q1);
+        for request in &flows {
+            let flat = flat_engine
+                .execute_flows_cached(&q0, &q1, request, &mut flat_cache)
+                .unwrap();
+            let sharded = sharded_engine
+                .execute_flows_cached(&q0, &q1, request, &mut sharded_cache)
+                .unwrap();
+            assert_eq!(
+                serde_json::to_string(&flat).unwrap(),
+                serde_json::to_string(&sharded).unwrap()
+            );
+            assert_eq!(flat, sharded);
         }
     }
 
@@ -2122,51 +1989,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn closure_filters_still_share_by_arc_identity() {
-        use lodes::Sex;
-        let d = dataset();
-        let shared: WorkerFilter = Arc::new(|w: &Worker| w.sex == Sex::Female);
-        let request = |seed: u64, f: WorkerFilter| {
-            let mut r = ReleaseRequest::marginal(workload1())
-                .mechanism(MechanismKind::LogLaplace)
-                .budget(PrivacyParams::pure(0.1, 1.0))
-                .seed(seed);
-            r.filter = Some(RequestFilter::Closure(f));
-            r
-        };
-        let mut engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 3.0));
-        let batch = vec![
-            request(1, Arc::clone(&shared)),
-            request(2, Arc::clone(&shared)),
-            // Textually identical but separately allocated: not shared.
-            request(3, Arc::new(|w: &Worker| w.sex == Sex::Female)),
-        ];
-        let outcomes = engine.execute_all(&d, &batch);
-        assert!(outcomes.iter().all(Result::is_ok));
-        assert_eq!(engine.tabulation_stats().computed, 2);
-        assert_eq!(engine.tabulation_stats().hits, 1);
-        // The AST filter for the same population is bit-identical to the
-        // closure's artifact (modulo provenance, which now records it).
-        let mut ast_engine = ReleaseEngine::new(PrivacyParams::pure(0.1, 1.0));
-        let ast = ast_engine
-            .execute(
-                &d,
-                &ReleaseRequest::marginal(workload1())
-                    .mechanism(MechanismKind::LogLaplace)
-                    .budget(PrivacyParams::pure(0.1, 1.0))
-                    .filter_expr(FilterExpr::sex(Sex::Female))
-                    .seed(1),
-            )
-            .unwrap();
-        let closure_artifact = outcomes[0].as_ref().unwrap();
-        assert_eq!(ast.payload, closure_artifact.payload);
-        assert!(closure_artifact.request.filter.is_none());
-        assert!(closure_artifact.request.filtered);
-        assert!(ast.request.filter.is_some());
     }
 
     #[test]
@@ -2443,8 +2265,8 @@ mod tests {
         assert_eq!(artifact.regime, NeighborKind::Weak);
         // The filtered truth the noise was centred on is the both-sides
         // restriction computed by the tabulation layer.
-        let b_idx = TabulationIndex::build(&before);
-        let a_idx = TabulationIndex::build(&after);
+        let b_idx = DatasetIndex::build_auto(&before);
+        let a_idx = DatasetIndex::build_auto(&after);
         let truth = b_idx.flows_expr_sharded(&a_idx, &workload1(), &expr, 1);
         assert_eq!(
             artifact.flows().expect("flow payload").len(),

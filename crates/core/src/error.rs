@@ -1,13 +1,11 @@
 //! The unified error hierarchy of the release engine.
 //!
-//! Before the [`crate::engine`] redesign, each layer had its own error
-//! type — [`ReleaseError`](crate::release::ReleaseError) from marginal
-//! releases, [`LedgerError`] from budget accounting, [`ShapeError`] from
-//! shape releases and [`NeighborError`] from neighbor checking — and callers composing
-//! multiple layers had to invent ad-hoc wrappers. [`EngineError`] is the
-//! one type every engine entry point returns; the legacy types survive as
-//! wrapped sources (with `From` conversions) so existing match sites keep
-//! working.
+//! Each layer has its own error type — [`LedgerError`] from budget
+//! accounting, [`ShapeError`] from shape releases and [`NeighborError`]
+//! from neighbor checking. [`EngineError`] is the one type every engine
+//! entry point returns; the layer types survive as wrapped sources (with
+//! `From` conversions) so callers composing layers need no ad-hoc
+//! wrappers.
 
 use crate::accountant::LedgerError;
 use crate::mechanisms::MechanismKind;
@@ -154,24 +152,6 @@ impl From<NeighborError> for EngineError {
     }
 }
 
-impl From<crate::release::ReleaseError> for EngineError {
-    fn from(e: crate::release::ReleaseError) -> Self {
-        match e {
-            crate::release::ReleaseError::InvalidParameters {
-                mechanism,
-                per_cell_epsilon,
-                alpha,
-                delta,
-            } => EngineError::InvalidParameters {
-                mechanism,
-                per_cell_epsilon,
-                alpha,
-                delta,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,17 +173,5 @@ mod tests {
         };
         assert!(e.to_string().contains("missing its mechanism"));
         assert!(std::error::Error::source(&e).is_none());
-    }
-
-    #[test]
-    fn release_error_maps_to_invalid_parameters() {
-        let e = EngineError::from(crate::release::ReleaseError::InvalidParameters {
-            mechanism: MechanismKind::SmoothGamma,
-            per_cell_epsilon: 0.5,
-            alpha: 0.2,
-            delta: 0.0,
-        });
-        assert!(matches!(e, EngineError::InvalidParameters { .. }));
-        assert!(e.to_string().contains("Smooth Gamma"));
     }
 }

@@ -9,10 +9,10 @@
 //!
 //! A sub-population release — OnTheMap-style county × industry extracts,
 //! Ranking 2's "female workers with a bachelor's degree or higher" —
-//! restricts the tabulated population. When the restriction is an opaque
-//! closure the engine can neither compare two filters nor record what was
-//! filtered, which breaks exactly the properties a statistical agency's
-//! pipeline needs:
+//! restricts the tabulated population. Were the restriction an opaque
+//! closure, the engine could neither compare two filters nor record what
+//! was filtered — exactly the properties a statistical agency's pipeline
+//! needs, and the reason [`FilterExpr`] is the only filter form:
 //!
 //! * **Shared tabulation.** Tabulating the confidential database is the
 //!   dominant cost at national scale. With a [`FilterExpr`], the

@@ -130,10 +130,10 @@
 //!   [`MetaLedger`] holding a global ε cap from which every season's
 //!   budget is reserved up front, child [`SeasonStore`]s, and the shared
 //!   truth store — an agency's whole release program under one bound.
-//! * [`error`] — the [`EngineError`] hierarchy consolidating release,
+//! * [`error`] — the [`EngineError`] hierarchy consolidating request,
 //!   ledger, shape, and neighbor errors.
-//! * [`release`] / [`shape`] — the legacy free functions, now thin
-//!   deprecated wrappers over the engine.
+//! * [`shape`] — the released establishment-shape type (sampled by the
+//!   engine's `ReleaseRequest::shapes` path).
 
 // Every public item of the release pipeline is part of an agency-facing
 // API surface; undocumented additions fail `cargo doc -D warnings` in CI.
@@ -153,7 +153,6 @@ pub mod metrics;
 pub mod neighbors;
 pub mod public_cache;
 pub mod pufferfish;
-pub mod release;
 pub mod shape;
 pub mod smooth;
 pub mod store;
@@ -185,11 +184,6 @@ pub use metrics::{
 };
 pub use neighbors::{size_distance, NeighborError, NeighborKind};
 pub use public_cache::{ReleaseCache, ReleaseKey};
-#[allow(deprecated)]
-pub use release::release_marginal;
-pub use release::{PrivateRelease, ReleaseConfig, ReleaseError};
-#[allow(deprecated)]
-pub use shape::release_shapes;
 pub use shape::{ShapeError, ShapeRelease};
 pub use smooth::{smooth_sensitivity_count, AdmissibilityBudget};
 pub use store::{

@@ -42,7 +42,7 @@
 //! check — then executes
 //! only the remainder through a [`ReleaseEngine`] opened on the restored
 //! ledger, sharing tabulations via a [`TabulationCache`] — which also
-//! builds the dataset's columnar `TabulationIndex` exactly once per run,
+//! builds the dataset's columnar `DatasetIndex` exactly once per run,
 //! so a resumed season re-tabulates over the shared CSR index instead of
 //! from scratch. Because per-cell noise streams derive from
 //! `(request seed, cell key)` and tabulation's sharded merge is
@@ -410,21 +410,8 @@ impl DirLease {
                     .expect("lease serialization is infallible");
                 let _ = cfs::write_all(&mut file, &marker, claim.as_bytes());
                 // Re-judge under the marker: remove only what is still
-                // provably stale. A torn read could be a live acquirer
-                // between its exclusive create and its first write, so
-                // give it one grace period to finish before treating the
-                // tear as a crashed writer's leavings.
-                let still_stale = match read_json::<LeaseFile>(path) {
-                    Ok(holder) => !pid_is_alive(holder.pid),
-                    Err(_) => {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        match read_json::<LeaseFile>(path) {
-                            Ok(holder) => !pid_is_alive(holder.pid),
-                            Err(_) => true,
-                        }
-                    }
-                };
-                if still_stale {
+                // provably stale.
+                if Self::holder_is_dead(path) {
                     let _ = cfs::remove_file(path);
                 }
                 let _ = cfs::remove_file(&marker);
@@ -432,17 +419,34 @@ impl DirLease {
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                 // Another reclaimer holds the marker: clear it if its
                 // holder died mid-reclaim, otherwise give way and let the
-                // acquire loop re-judge.
-                match read_json::<LeaseFile>(&marker) {
-                    Ok(holder) if pid_is_alive(holder.pid) => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Ok(_) | Err(_) => {
-                        let _ = cfs::remove_file(&marker);
-                    }
+                // acquire loop re-judge. Clearing a live reclaimer's marker
+                // would let two reclaimers run at once — the TOCTOU hole
+                // the marker exists to close.
+                if Self::holder_is_dead(&marker) {
+                    let _ = cfs::remove_file(&marker);
+                } else {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
                 }
             }
             Err(_) => {}
+        }
+    }
+
+    /// Whether the lease-format file at `path` records a dead holder (or
+    /// stays unreadable). A torn read could be a live writer between its
+    /// exclusive create and its first write, so it gets one grace period
+    /// to finish before the tear is treated as a crashed writer's
+    /// leavings.
+    fn holder_is_dead(path: &Path) -> bool {
+        match read_json::<LeaseFile>(path) {
+            Ok(holder) => !pid_is_alive(holder.pid),
+            Err(_) => {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                match read_json::<LeaseFile>(path) {
+                    Ok(holder) => !pid_is_alive(holder.pid),
+                    Err(_) => true,
+                }
+            }
         }
     }
 
@@ -548,7 +552,8 @@ pub struct SeasonReport {
     pub tabulation_hits: u64,
     /// Requests served from a persistent truth store (digest-verified
     /// load, zero recomputation). Always 0 for [`SeasonStore::run`], which
-    /// uses an in-memory cache; [`run_cached`](SeasonStore::run_cached)
+    /// uses an in-memory cache;
+    /// [`run_panel_cached_with_digest`](SeasonStore::run_panel_cached_with_digest)
     /// with a store-backed cache — e.g. through an
     /// [`AgencyStore`](crate::agency::AgencyStore) — reports them here.
     pub tabulation_disk_hits: u64,
@@ -964,51 +969,39 @@ impl SeasonStore {
         dataset: &Dataset,
         requests: &[ReleaseRequest],
     ) -> Result<SeasonReport, StoreError> {
-        self.run_cached(dataset, requests, &mut TabulationCache::new())
+        let digest = dataset_digest(dataset);
+        self.run_panel_cached_with_digest(
+            None,
+            dataset,
+            digest,
+            requests,
+            &mut TabulationCache::new(),
+        )
     }
 
-    /// [`run`](Self::run) over a caller-owned [`TabulationCache`] — the
-    /// agency path: a cache backed by a persistent truth store
-    /// (`TabulationCache::with_store`) lets a resumed season, or a sibling
-    /// season sharing a `(spec, filter)`, reuse digest-verified truths
-    /// from disk instead of re-tabulating. The cache must belong to this
-    /// season's dataset.
-    pub fn run_cached(
-        &mut self,
-        dataset: &Dataset,
-        requests: &[ReleaseRequest],
-        cache: &mut TabulationCache,
-    ) -> Result<SeasonReport, StoreError> {
-        self.run_cached_with_digest(dataset, dataset_digest(dataset), requests, cache)
-    }
-
-    /// [`run_cached`](Self::run_cached) with the dataset's digest already
-    /// in hand — drivers that computed it for their own pins (the agency
-    /// layer, the release service's per-season workers) pass it through
-    /// so one run costs exactly one full-dataset scan, not three. The
-    /// digest must be [`dataset_digest`]`(dataset)`; handing a digest of
-    /// different data voids every pin this store enforces.
-    pub fn run_cached_with_digest(
-        &mut self,
-        dataset: &Dataset,
-        digest: u64,
-        requests: &[ReleaseRequest],
-        cache: &mut TabulationCache,
-    ) -> Result<SeasonReport, StoreError> {
-        self.run_panel_cached_with_digest(None, dataset, digest, requests, cache)
-    }
-
-    /// [`run_cached_with_digest`](Self::run_cached_with_digest) for a
-    /// season that publishes one quarter of a panel: `before` supplies the
-    /// previous quarter's snapshot (and its [`dataset_digest`]), which
-    /// [`RequestKind::Flows`](crate::engine::RequestKind) requests
-    /// tabulate against. Level requests see only `dataset` — the season
-    /// stays pinned to its own quarter's digest exactly as before; flow
-    /// truths are content-addressed by the pair digest instead.
+    /// [`run`](Self::run) over a caller-owned [`TabulationCache`], with
+    /// the dataset's digest already in hand, for a season that may publish
+    /// one quarter of a panel.
     ///
-    /// A flow request in a plan run without a `before` snapshot (the base
-    /// quarter, or a non-panel season) is refused as
-    /// [`StoreError::Refused`] without recording or charging anything.
+    /// * The cache: one backed by a persistent truth store
+    ///   (`TabulationCache::with_store`) lets a resumed season, or a
+    ///   sibling season sharing a `(spec, filter)`, reuse digest-verified
+    ///   truths from disk instead of re-tabulating. It must belong to this
+    ///   season's dataset.
+    /// * The digest: drivers that computed it for their own pins (the
+    ///   agency layer, the release service's per-season workers) pass it
+    ///   through so one run costs exactly one full-dataset scan. It must be
+    ///   [`dataset_digest`]`(dataset)`; handing a digest of different data
+    ///   voids every pin this store enforces.
+    /// * `before` supplies the previous quarter's snapshot (and its
+    ///   [`dataset_digest`]), which
+    ///   [`RequestKind::Flows`](crate::engine::RequestKind) requests
+    ///   tabulate against. Level requests see only `dataset` — the season
+    ///   stays pinned to its own quarter's digest; flow truths are
+    ///   content-addressed by the pair digest instead. A flow request in a
+    ///   plan run without a `before` snapshot (the base quarter, or a
+    ///   non-panel season) is refused as [`StoreError::Refused`] without
+    ///   recording or charging anything.
     pub fn run_panel_cached_with_digest(
         &mut self,
         before: Option<(&Dataset, u64)>,
@@ -1124,9 +1117,9 @@ fn artifact_file(dir: &Path, index: usize) -> PathBuf {
 /// message; equality never rests on a 64-bit fingerprint.
 ///
 /// One asymmetry is tolerated for compatibility: artifacts persisted
-/// before the filter AST existed (and closure-filtered requests, whose
-/// expression was never representable) record `filter: None` while still
-/// flagging `filtered: true`. When the *stored* side has no expression,
+/// before the filter AST existed (including those of the since-removed
+/// closure filters, whose expression was never representable) record
+/// `filter: None` while still flagging `filtered: true`. When the *stored* side has no expression,
 /// the expression cannot be checked and verification falls back to the
 /// flag and every other provenance field. The reverse is never
 /// tolerated: a stored expression that the plan no longer carries is a
@@ -1150,9 +1143,8 @@ fn provenance_matches(
                 s.id()
             ));
         }
-        // Pre-AST artifact (or closure escape hatch): no expression to
-        // check; the `filtered` flag is still compared below with the
-        // rest.
+        // Pre-AST artifact: no expression to check; the `filtered` flag
+        // is still compared below with the rest.
         (None, _) | (Some(_), Some(_)) => {}
     }
     // Compare every remaining field by neutralizing the (already

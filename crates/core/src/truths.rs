@@ -321,7 +321,7 @@ mod tests {
     use crate::store::dataset_digest;
     use lodes::{Generator, GeneratorConfig, Sex};
     use std::fs;
-    use tabulate::{compute_marginal, compute_marginal_expr, workload1, workload3};
+    use tabulate::{compute_marginal, workload1, workload3, DatasetIndex};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("eree-truths-unit-{name}"));
@@ -340,7 +340,7 @@ mod tests {
         assert_eq!(store.load(&workload3(), None).unwrap(), plain);
 
         let expr = FilterExpr::sex(Sex::Female);
-        let filtered = compute_marginal_expr(&d, &workload1(), &expr);
+        let filtered = DatasetIndex::build_auto(&d).marginal_expr_sharded(&workload1(), &expr, 1);
         store.save(&workload1(), Some(&expr), &filtered).unwrap();
         assert_eq!(store.load(&workload1(), Some(&expr)).unwrap(), filtered);
         // The filtered and unfiltered truths are distinct addresses.

@@ -39,7 +39,7 @@ pub fn run(ctx: &ExperimentContext, trials: &TrialSpec) -> Vec<Figure5Row> {
     // the same filter definition a release pipeline would record in
     // provenance.
     let filter = ranking2_expr();
-    let truth = ctx.index.marginal_expr(&workload1(), &filter);
+    let truth = ctx.index.marginal_expr_sharded(&workload1(), &filter, 1);
     // SDL baseline on the same filtered population (sharing the index).
     let sdl = SdlPublisher::new(&ctx.dataset, SdlConfig::default()).publish_expr_on(
         &ctx.index,

@@ -14,12 +14,12 @@
 
 use crate::distortion::{DistortionFactors, DistortionParams};
 use crate::small_cell::SmallCellModel;
-use lodes::{Dataset, Worker};
+use lodes::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use tabulate::{CellKey, FilterExpr, Marginal, MarginalSpec, TabulationIndex};
+use tabulate::{CellKey, DatasetIndex, FilterExpr, Kernel, Marginal, MarginalSpec};
 
 /// Configuration of the SDL publication pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -110,7 +110,7 @@ impl SdlPublisher {
 
     /// Publish the marginal `spec` over `dataset`.
     pub fn publish(&self, dataset: &Dataset, spec: &MarginalSpec) -> SdlRelease {
-        self.publish_inner(&TabulationIndex::build(dataset), dataset, spec, |_| true)
+        self.publish_inner(&DatasetIndex::build_auto(dataset), dataset, spec, None)
     }
 
     /// Publish a marginal restricted to the sub-population matching the
@@ -125,92 +125,58 @@ impl SdlPublisher {
         spec: &MarginalSpec,
         expr: &FilterExpr,
     ) -> SdlRelease {
-        self.publish_expr_on(&TabulationIndex::build(dataset), dataset, spec, expr)
-    }
-
-    /// Publish a filtered marginal through an opaque closure.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use publish_expr(FilterExpr) — declarative filters share definitions with the release engine"
-    )]
-    pub fn publish_filtered<F>(
-        &self,
-        dataset: &Dataset,
-        spec: &MarginalSpec,
-        filter: F,
-    ) -> SdlRelease
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        self.publish_inner(&TabulationIndex::build(dataset), dataset, spec, filter)
+        self.publish_inner(
+            &DatasetIndex::build_auto(dataset),
+            dataset,
+            spec,
+            Some(expr),
+        )
     }
 
     /// Like [`publish`](Self::publish), but tabulating the truth over a
-    /// caller-provided [`TabulationIndex`] of `dataset`, so repeated
+    /// caller-provided [`DatasetIndex`] of `dataset`, so repeated
     /// publications share one index build.
     pub fn publish_on(
         &self,
-        index: &TabulationIndex,
+        index: &DatasetIndex,
         dataset: &Dataset,
         spec: &MarginalSpec,
     ) -> SdlRelease {
-        self.publish_inner(index, dataset, spec, |_| true)
+        self.publish_inner(index, dataset, spec, None)
     }
 
     /// Declaratively filtered variant of [`publish_on`](Self::publish_on).
     /// `index` must be an index of `dataset`.
     pub fn publish_expr_on(
         &self,
-        index: &TabulationIndex,
+        index: &DatasetIndex,
         dataset: &Dataset,
         spec: &MarginalSpec,
         expr: &FilterExpr,
     ) -> SdlRelease {
-        let compiled = expr.compile(index);
-        self.publish_inner(index, dataset, spec, |w| compiled.matches(w))
+        self.publish_inner(index, dataset, spec, Some(expr))
     }
 
-    /// Closure-filtered variant of [`publish_on`](Self::publish_on).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use publish_expr_on(FilterExpr) — declarative filters share definitions with the release engine"
-    )]
-    pub fn publish_filtered_on<F>(
+    fn publish_inner(
         &self,
-        index: &TabulationIndex,
+        index: &DatasetIndex,
         dataset: &Dataset,
         spec: &MarginalSpec,
-        filter: F,
-    ) -> SdlRelease
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        self.publish_inner(index, dataset, spec, filter)
-    }
+        filter: Option<&FilterExpr>,
+    ) -> SdlRelease {
+        let truth = index.marginal(spec, filter, 1, Kernel::Auto);
+        let schema = truth.schema();
 
-    fn publish_inner<F>(
-        &self,
-        index: &TabulationIndex,
-        dataset: &Dataset,
-        spec: &MarginalSpec,
-        filter: F,
-    ) -> SdlRelease
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
         // Noisy per-cell sums: every worker contributes its establishment's
         // factor. (Equivalent to Σ_w f_w·h(w,c) without materializing the
         // per-establishment histograms.)
-        let truth = index.marginal_filtered(spec, &filter);
-        let schema = truth.schema();
-
         let mut noisy: BTreeMap<CellKey, f64> = BTreeMap::new();
         let mut values: Vec<u32> = Vec::with_capacity(schema.attrs().len());
         for worker in dataset.workers() {
-            if !filter(worker) {
+            let wp = dataset.workplace(dataset.employer_of(worker.id));
+            if filter.is_some_and(|expr| !expr.matches_record(worker, wp)) {
                 continue;
             }
-            let wp = dataset.workplace(dataset.employer_of(worker.id));
             values.clear();
             for attr in &spec.workplace_attrs {
                 values.push(attr.value(wp));
@@ -372,13 +338,19 @@ mod tests {
     }
 
     #[test]
-    fn expr_publication_matches_closure_publication() {
+    fn expr_publication_covers_the_filtered_population() {
         let (d, p) = setup();
         let via_expr = p.publish_expr(&d, &workload1(), &tabulate::ranking2_expr());
-        #[allow(deprecated)]
-        let via_closure = p.publish_filtered(&d, &workload1(), tabulate::ranking2_filter);
-        assert_eq!(via_expr.published, via_closure.published);
-        assert_eq!(via_expr.truth.num_cells(), via_closure.truth.num_cells());
+        let all = p.publish(&d, &workload1());
+        assert!(via_expr.truth.total() < all.truth.total());
+        // Every filtered cell is published; no other cell is.
+        let truth_keys: Vec<_> = via_expr.truth.iter().map(|(k, _)| k).collect();
+        let pub_keys: Vec<_> = via_expr.published.keys().copied().collect();
+        assert_eq!(truth_keys, pub_keys);
+        // The index representation never changes a publication.
+        let sharded = DatasetIndex::build_with_threshold(&d, 1);
+        let on_sharded = p.publish_expr_on(&sharded, &d, &workload1(), &tabulate::ranking2_expr());
+        assert_eq!(on_sharded, via_expr);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!                 └──────────────────────────┬────────────────────────┘
 //!                                            │ per-season mpsc queue
 //!                 ┌────────────────── season worker (owns the lease) ─┐
-//!                 │ plan += request → SeasonStore::run_cached…        │
+//!                 │ plan += request → SeasonStore::run_panel_cached…  │
 //!                 │   → ledger charge → artifact persisted            │
 //!                 │   → public cache save → registry: complete        │
 //!                 └───────────────────────────────────────────────────┘

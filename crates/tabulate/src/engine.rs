@@ -26,10 +26,12 @@
 //! lands in exactly one cell, contributing its whole (or filtered)
 //! worker-range size.
 //!
-//! **Parallelism and determinism.** The establishment loop is sharded
-//! across `std::thread::scope` workers in contiguous chunks; each shard
-//! sorts its emitted run by key, and the shards are combined by a
-//! deterministic k-way merge that aggregates equal keys into
+//! **Parallelism and determinism.** The establishment loop is split into
+//! worker-balanced windows of each index shard (a flat index is one
+//! shard, a [`crate::RegionShardedIndex`] has one per state) and run on
+//! at most `threads` scoped workers; each window sorts its emitted run by
+//! key, and the runs are combined by a deterministic k-way merge that
+//! aggregates equal keys into
 //! [`CellStats`] (`count` sums, `establishments` counts pairs,
 //! `max_establishment` maxes). All three aggregates are commutative, so
 //! the resulting [`Marginal`] — a `Vec` of cells sorted by key — is
@@ -51,185 +53,35 @@
 use crate::attr::MarginalSpec;
 use crate::cell::CellKey;
 use crate::cell::CellSchema;
+use crate::filter::CompiledFilter;
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, worker_subkeys, Kernel};
 use crate::marginal::{CellStats, Marginal};
-use lodes::{Dataset, Worker};
+use crate::region::{run_sharded, DatasetIndex};
+use lodes::Dataset;
+#[cfg(feature = "reference")]
+use lodes::Worker;
 #[cfg(feature = "reference")]
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Evaluate the marginal query `q_V(D)`.
 ///
-/// Convenience wrapper: builds a throwaway [`TabulationIndex`] and runs
-/// the indexed evaluator single-threaded. Callers tabulating one dataset
-/// more than once should build the index themselves (or go through the
-/// release engine, which shares one per batch/season).
+/// Convenience wrapper: builds a throwaway flat index and runs the
+/// indexed evaluator single-threaded. Callers tabulating one dataset more
+/// than once (or with a filter) should build a [`DatasetIndex`]
+/// themselves, or go through the release engine, which shares one per
+/// batch/season.
 pub fn compute_marginal(dataset: &Dataset, spec: &MarginalSpec) -> Marginal {
-    TabulationIndex::build(dataset).marginal(spec)
-}
-
-/// Evaluate a marginal over only the workers matching `filter`.
-///
-/// The filter models single-query workloads like Ranking 2 ("number of
-/// female employees with a bachelor's degree per place×industry×ownership
-/// cell"): group by workplace attributes while restricting the counted
-/// population. Establishment metadata (`x_v`, contributing-establishment
-/// counts) refer to the *filtered* population, matching Lemma 8.5's
-/// definition of `x_v` as the largest per-establishment count of workers
-/// matching the query condition.
-pub fn compute_marginal_filtered<F>(dataset: &Dataset, spec: &MarginalSpec, filter: F) -> Marginal
-where
-    F: Fn(&Worker) -> bool + Sync,
-{
-    TabulationIndex::build(dataset).marginal_filtered(spec, filter)
-}
-
-/// Evaluate a marginal over only the records matching the declarative
-/// filter `expr` (see [`crate::filter`]).
-///
-/// Convenience wrapper building a throwaway [`TabulationIndex`]; callers
-/// tabulating one dataset more than once should build the index
-/// themselves and use [`TabulationIndex::marginal_expr`].
-pub fn compute_marginal_expr(
-    dataset: &Dataset,
-    spec: &MarginalSpec,
-    expr: &crate::filter::FilterExpr,
-) -> Marginal {
-    TabulationIndex::build(dataset).marginal_expr(spec, expr)
-}
-
-impl TabulationIndex {
-    /// Evaluate `q_V` over the indexed dataset, single-threaded.
-    pub fn marginal(&self, spec: &MarginalSpec) -> Marginal {
-        self.marginal_sharded(spec, 1)
-    }
-
-    /// Evaluate `q_V`, sharding the establishment loop across up to
-    /// `threads` scoped workers. The result is bit-identical at any
-    /// thread count.
-    pub fn marginal_sharded(&self, spec: &MarginalSpec, threads: usize) -> Marginal {
-        tabulate_index(self, spec, None, threads, Kernel::Auto)
-    }
-
-    /// [`marginal_sharded`](Self::marginal_sharded) with an explicit
-    /// [`Kernel`] choice. `Kernel::Scalar` forces the scalar key kernels;
-    /// the result is bit-identical to `Kernel::Auto` by construction (the
-    /// property tests assert it, the benchmark measures the difference).
-    pub fn marginal_sharded_with_kernel(
-        &self,
-        spec: &MarginalSpec,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        tabulate_index(self, spec, None, threads, kernel)
-    }
-
-    /// Evaluate `q_V` over only the workers matching `filter`,
-    /// single-threaded.
-    pub fn marginal_filtered<F>(&self, spec: &MarginalSpec, filter: F) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        self.marginal_filtered_sharded(spec, filter, 1)
-    }
-
-    /// Evaluate `q_V` over only the records matching the declarative
-    /// filter `expr`, single-threaded. The expression is compiled against
-    /// this index (workplace leaves resolved per establishment, worker
-    /// leaves collapsed into domain truth tables — see [`crate::filter`])
-    /// and then evaluated exactly like a closure filter, so the result is
-    /// bit-identical to [`marginal_filtered`](Self::marginal_filtered)
-    /// with the equivalent predicate.
-    pub fn marginal_expr(&self, spec: &MarginalSpec, expr: &crate::filter::FilterExpr) -> Marginal {
-        self.marginal_expr_sharded(spec, expr, 1)
-    }
-
-    /// Evaluate a declaratively filtered marginal with a sharded
-    /// establishment loop. The result is bit-identical at any thread
-    /// count.
-    pub fn marginal_expr_sharded(
-        &self,
-        spec: &MarginalSpec,
-        expr: &crate::filter::FilterExpr,
-        threads: usize,
-    ) -> Marginal {
-        self.marginal_expr_sharded_with_kernel(spec, expr, threads, Kernel::Auto)
-    }
-
-    /// [`marginal_expr_sharded`](Self::marginal_expr_sharded) with an
-    /// explicit [`Kernel`] choice (see
-    /// [`marginal_sharded_with_kernel`](Self::marginal_sharded_with_kernel)).
-    pub fn marginal_expr_sharded_with_kernel(
-        &self,
-        spec: &MarginalSpec,
-        expr: &crate::filter::FilterExpr,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        let compiled = expr.compile(self);
-        self.marginal_filtered_sharded_with_kernel(spec, |w| compiled.matches(w), threads, kernel)
-    }
-
-    /// Evaluate a filtered marginal with a sharded establishment loop.
-    /// The result is bit-identical at any thread count.
-    pub fn marginal_filtered_sharded<F>(
-        &self,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        tabulate_index(self, spec, Some(&filter), threads, Kernel::Auto)
-    }
-
-    /// [`marginal_filtered_sharded`](Self::marginal_filtered_sharded) with
-    /// an explicit [`Kernel`] choice (see
-    /// [`marginal_sharded_with_kernel`](Self::marginal_sharded_with_kernel)).
-    pub fn marginal_filtered_sharded_with_kernel<F>(
-        &self,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        tabulate_index(self, spec, Some(&filter), threads, kernel)
-    }
-
-    /// Advisory shard-count heuristic: the number of shards `threads`
-    /// should actually be split into on this index so that parallel
-    /// tabulation never loses to single-threaded.
-    ///
-    /// Every shard costs a sorted run plus a k-way-merge cursor, and a
-    /// shard scanning only a few thousand workers finishes faster than its
-    /// thread spawns — on small datasets the fixed per-shard overhead made
-    /// the recorded multithreaded full-attribute workload *slower* than
-    /// 1T. The heuristic caps shards so each scans at least
-    /// `MIN_SHARD_WORKERS` (2¹⁶) workers, collapsing to one shard (the 1T
-    /// code path, bit-identical by the merge guarantee) whenever the
-    /// dataset is too small to amortize fan-out. The release engine and
-    /// the benchmark apply it before sharding; direct `*_sharded` calls
-    /// keep the caller's count so tests can force any shard layout.
-    pub fn effective_shards(&self, threads: usize) -> usize {
-        threads
-            .max(1)
-            .min((self.num_workers() / MIN_SHARD_WORKERS).max(1))
-            .min(self.num_establishments().max(1))
-    }
+    DatasetIndex::Single(Arc::new(TabulationIndex::build(dataset))).marginal_sharded(spec, 1)
 }
 
 /// Minimum workers a shard must scan to pay for its thread spawn, sort,
-/// and merge cursor (see [`TabulationIndex::effective_shards`]).
+/// and merge cursor (see [`DatasetIndex::effective_shards`]).
 pub(crate) const MIN_SHARD_WORKERS: usize = 1 << 16;
 
 /// Per-shard tabulation state, borrowed immutably by every worker thread.
-/// Also built by [`crate::region`] to tabulate each region shard of a
-/// [`crate::RegionShardedIndex`] through the same code path.
-pub(crate) struct ShardPlan<'a> {
+struct ShardPlan<'a> {
     index: &'a TabulationIndex,
     /// Workplace code columns of the spec's workplace attributes.
     wp_cols: Vec<&'a [u32]>,
@@ -244,16 +96,17 @@ pub(crate) struct ShardPlan<'a> {
     wk_strides: Vec<u16>,
     /// Worker sub-domain size — the dense scratch extent.
     worker_domain: usize,
-    filter: Option<&'a (dyn Fn(&Worker) -> bool + Sync)>,
+    /// The population filter, compiled against `index`.
+    filter: Option<&'a CompiledFilter>,
     kernel: Kernel,
 }
 
 impl<'a> ShardPlan<'a> {
-    pub(crate) fn new(
+    fn new(
         index: &'a TabulationIndex,
         spec: &MarginalSpec,
         schema: &CellSchema,
-        filter: Option<&'a (dyn Fn(&Worker) -> bool + Sync)>,
+        filter: Option<&'a CompiledFilter>,
         kernel: Kernel,
     ) -> Self {
         let n_wp = spec.workplace_attrs.len();
@@ -283,41 +136,26 @@ impl<'a> ShardPlan<'a> {
     }
 }
 
-/// The indexed evaluator: shard, tabulate sorted runs, k-way merge.
-fn tabulate_index(
-    index: &TabulationIndex,
+/// The marginal driver: one [`ShardPlan`] per index shard (with that
+/// shard's compiled filter), establishment windows tabulated into sorted
+/// runs on at most `threads` workers, all runs combined by the
+/// deterministic k-way merge. A flat index is the one-shard case.
+pub(crate) fn tabulate_marginal(
+    shards: &[&TabulationIndex],
+    filters: &[Option<CompiledFilter>],
     spec: &MarginalSpec,
-    filter: Option<&(dyn Fn(&Worker) -> bool + Sync)>,
+    schema: CellSchema,
     threads: usize,
     kernel: Kernel,
 ) -> Marginal {
-    let schema = index.schema(spec);
-    let n_estabs = index.num_establishments();
-    let plan = ShardPlan::new(index, spec, &schema, filter, kernel);
-    let threads = threads.max(1).min(n_estabs.max(1));
-    let runs: Vec<Vec<(u64, u32)>> = if threads <= 1 {
-        vec![tabulate_shard(&plan, 0, n_estabs)]
-    } else {
-        // Shard boundaries are balanced by cumulative *worker* count (see
-        // [`TabulationIndex::shard_bounds`]): tabulation cost is linear in
-        // workers scanned, so establishment-count chunking starves some
-        // shards and overloads others on skewed universes.
-        let bounds = index.shard_bounds(threads);
-        std::thread::scope(|scope| {
-            let plan = &plan;
-            let handles: Vec<_> = bounds
-                .windows(2)
-                .map(|w| {
-                    let (lo, hi) = (w[0], w[1]);
-                    scope.spawn(move || tabulate_shard(plan, lo, hi))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("tabulation shard panicked"))
-                .collect()
-        })
-    };
+    let plans: Vec<ShardPlan<'_>> = shards
+        .iter()
+        .zip(filters)
+        .map(|(&index, filter)| ShardPlan::new(index, spec, &schema, filter.as_ref(), kernel))
+        .collect();
+    let runs = run_sharded(shards, threads, |task| {
+        tabulate_shard(&plans[task.shard], task.lo, task.hi)
+    });
     Marginal::from_sorted(spec.clone(), schema, merge_runs(runs))
 }
 
@@ -335,7 +173,7 @@ const WORKER_BLOCK: usize = 1 << 15;
 /// scalar scatter counts each establishment's workers into the dense
 /// scratch. The scatter itself is identical for every kernel choice, so
 /// the emitted run is bit-identical whichever kernel filled the buffers.
-pub(crate) fn tabulate_shard(plan: &ShardPlan<'_>, lo: usize, hi: usize) -> Vec<(u64, u32)> {
+fn tabulate_shard(plan: &ShardPlan<'_>, lo: usize, hi: usize) -> Vec<(u64, u32)> {
     let mut run: Vec<(u64, u32)> = Vec::new();
     // Inclusive upper bound on emitted keys, tracked once per
     // establishment so the run sort can pick a radix strategy.
@@ -381,7 +219,7 @@ pub(crate) fn tabulate_shard(plan: &ShardPlan<'_>, lo: usize, hi: usize) -> Vec<
                 }
                 let count = match plan.filter {
                     None => range.len() as u32,
-                    Some(f) => workers[range].iter().filter(|w| f(w)).count() as u32,
+                    Some(f) => workers[range].iter().filter(|w| f.matches(w)).count() as u32,
                 };
                 if count > 0 {
                     let base = bases[e - batch_lo];
@@ -430,7 +268,7 @@ pub(crate) fn tabulate_shard(plan: &ShardPlan<'_>, lo: usize, hi: usize) -> Vec<
                 }
                 Some(f) => {
                     for i in range {
-                        if f(&workers[i]) {
+                        if f.matches(&workers[i]) {
                             let subkey = subkeys[i - span_start];
                             let slot = unsafe { scratch.get_unchecked_mut(subkey as usize) };
                             if *slot == 0 {
@@ -509,7 +347,7 @@ pub(crate) fn sort_run_by_key<T: Copy>(run: &mut Vec<T>, max_key: u64, key_of: i
 /// Deterministic k-way merge of per-shard sorted runs, aggregating every
 /// `(cell, establishment)` contribution with the same key into one
 /// [`CellStats`].
-pub(crate) fn merge_runs(runs: Vec<Vec<(u64, u32)>>) -> Vec<(CellKey, CellStats)> {
+fn merge_runs(runs: Vec<Vec<(u64, u32)>>) -> Vec<(CellKey, CellStats)> {
     let mut pos = vec![0usize; runs.len()];
     let mut out: Vec<(CellKey, CellStats)> =
         Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
@@ -633,8 +471,14 @@ where
 mod tests {
     use super::*;
     use crate::attr::{MarginalSpec, WorkerAttr, WorkplaceAttr};
+    use crate::filter::FilterExpr;
     use lodes::{Generator, GeneratorConfig, Sex};
     use std::collections::BTreeMap;
+
+    /// The flat (single-shard) representation of `d`.
+    fn flat(d: &Dataset) -> DatasetIndex {
+        DatasetIndex::build_with_threshold(d, usize::MAX)
+    }
 
     #[test]
     fn radix_run_sort_matches_comparison_sort() {
@@ -722,7 +566,8 @@ mod tests {
     #[test]
     fn indexed_engine_matches_legacy_engine() {
         let d = dataset();
-        let index = TabulationIndex::build(&d);
+        let index = flat(&d);
+        let female = FilterExpr::sex(Sex::Female);
         let specs = [
             MarginalSpec::new(vec![], vec![]),
             MarginalSpec::new(vec![WorkplaceAttr::Place], vec![]),
@@ -738,10 +583,10 @@ mod tests {
         ];
         for spec in &specs {
             let legacy = compute_marginal_legacy(&d, spec);
-            assert_marginals_identical(&index.marginal(spec), &legacy);
+            assert_marginals_identical(&index.marginal_sharded(spec, 1), &legacy);
             // Filtered path too.
             let legacy_f = compute_marginal_filtered_legacy(&d, spec, |w| w.sex == Sex::Female);
-            let indexed_f = index.marginal_filtered(spec, |w| w.sex == Sex::Female);
+            let indexed_f = index.marginal_expr_sharded(spec, &female, 1);
             assert_marginals_identical(&indexed_f, &legacy_f);
         }
     }
@@ -749,7 +594,7 @@ mod tests {
     #[test]
     fn sharded_tabulation_is_bit_identical_at_any_thread_count() {
         let d = dataset();
-        let index = TabulationIndex::build(&d);
+        let index = flat(&d);
         let spec = MarginalSpec::new(
             vec![
                 WorkplaceAttr::Place,
@@ -762,9 +607,10 @@ mod tests {
         for threads in [2, 3, 7, 64] {
             assert_marginals_identical(&index.marginal_sharded(&spec, threads), &reference);
         }
-        let filtered_ref = index.marginal_filtered_sharded(&spec, |w| w.sex == Sex::Male, 1);
+        let male = FilterExpr::sex(Sex::Male);
+        let filtered_ref = index.marginal_expr_sharded(&spec, &male, 1);
         for threads in [2, 5, 16] {
-            let m = index.marginal_filtered_sharded(&spec, |w| w.sex == Sex::Male, threads);
+            let m = index.marginal_expr_sharded(&spec, &male, threads);
             assert_marginals_identical(&m, &filtered_ref);
         }
     }
@@ -775,7 +621,8 @@ mod tests {
     #[test]
     fn simd_and_scalar_kernels_are_bit_identical() {
         let d = dataset();
-        let index = TabulationIndex::build(&d);
+        let index = flat(&d);
+        let female = FilterExpr::sex(Sex::Female);
         let specs = [
             MarginalSpec::new(vec![], vec![]),
             MarginalSpec::new(vec![WorkplaceAttr::Block], vec![]),
@@ -793,21 +640,11 @@ mod tests {
         ];
         for spec in &specs {
             for threads in [1, 3] {
-                let scalar = index.marginal_sharded_with_kernel(spec, threads, Kernel::Scalar);
-                let auto = index.marginal_sharded_with_kernel(spec, threads, Kernel::Auto);
+                let scalar = index.marginal(spec, None, threads, Kernel::Scalar);
+                let auto = index.marginal(spec, None, threads, Kernel::Auto);
                 assert_marginals_identical(&auto, &scalar);
-                let scalar_f = index.marginal_filtered_sharded_with_kernel(
-                    spec,
-                    |w| w.sex == Sex::Female,
-                    threads,
-                    Kernel::Scalar,
-                );
-                let auto_f = index.marginal_filtered_sharded_with_kernel(
-                    spec,
-                    |w| w.sex == Sex::Female,
-                    threads,
-                    Kernel::Auto,
-                );
+                let scalar_f = index.marginal(spec, Some(&female), threads, Kernel::Scalar);
+                let auto_f = index.marginal(spec, Some(&female), threads, Kernel::Auto);
                 assert_marginals_identical(&auto_f, &scalar_f);
             }
         }
@@ -816,7 +653,7 @@ mod tests {
     #[test]
     fn effective_shards_collapse_small_datasets() {
         let d = dataset();
-        let index = TabulationIndex::build(&d);
+        let index = flat(&d);
         // The test universe (~40k workers) is below the 2^16-per-shard
         // floor: any requested parallelism collapses to the 1T path.
         for threads in [1, 2, 8, 64] {
@@ -845,9 +682,10 @@ mod tests {
     #[test]
     fn filtered_marginal_counts_only_matching_workers() {
         let d = dataset();
+        let index = flat(&d);
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Naics], vec![]);
-        let females = compute_marginal_filtered(&d, &spec, |w| w.sex == Sex::Female);
-        let males = compute_marginal_filtered(&d, &spec, |w| w.sex == Sex::Male);
+        let females = index.marginal_expr_sharded(&spec, &FilterExpr::sex(Sex::Female), 1);
+        let males = index.marginal_expr_sharded(&spec, &FilterExpr::sex(Sex::Male), 1);
         let all = compute_marginal(&d, &spec);
         assert_eq!(females.total() + males.total(), all.total());
         // Filtered x_v never exceeds unfiltered x_v.
@@ -862,7 +700,8 @@ mod tests {
     fn empty_filter_yields_empty_marginal() {
         let d = dataset();
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Place], vec![]);
-        let m = compute_marginal_filtered(&d, &spec, |_| false);
+        // An empty disjunction matches nobody.
+        let m = flat(&d).marginal_expr_sharded(&spec, &FilterExpr::Or(vec![]), 1);
         assert_eq!(m.num_cells(), 0);
         assert_eq!(m.total(), 0);
         // The legacy reference agrees (and its capacity heuristic now
@@ -912,7 +751,7 @@ mod tests {
             ..GeneratorConfig::default()
         })
         .generate();
-        let index = TabulationIndex::build(&d);
+        let index = flat(&d);
         let spec = MarginalSpec::new(
             vec![WorkplaceAttr::County, WorkplaceAttr::Naics],
             vec![WorkerAttr::Sex, WorkerAttr::Age],

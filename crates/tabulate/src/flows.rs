@@ -22,10 +22,11 @@
 //!
 //! # Evaluation
 //!
-//! Flow tabulation runs on a **pair** of [`TabulationIndex`]es sharing one
-//! establishment frame, with the same shape as the level-marginal engine
-//! in [`crate::engine`]: the establishment loop is sharded into contiguous
-//! CSR chunks, each shard emits a key-sorted run of per-establishment
+//! Flow tabulation runs on a **pair** of [`DatasetIndex`]es sharing one
+//! establishment frame (see [`DatasetIndex::flows`]), with the same shape
+//! as the level-marginal engine in [`crate::engine`]: the establishment
+//! loop is split into worker-balanced CSR windows of each shard, each
+//! window emits a key-sorted run of per-establishment
 //! `(key, before, after)` contributions, and a deterministic k-way merge
 //! aggregates equal keys into [`FlowStats`]. Every aggregate (sums of
 //! `B`/`E`/`JC`/`JD`, per-statistic maxima) is commutative, so the result
@@ -35,12 +36,15 @@
 
 use crate::attr::{Attr, MarginalSpec};
 use crate::cell::{CellKey, CellSchema};
+use crate::filter::CompiledFilter;
 use crate::index::TabulationIndex;
 use crate::kernel::{establishment_keys, Kernel};
-use lodes::{Dataset, Worker};
+use crate::region::{run_sharded, DatasetIndex};
+use lodes::Dataset;
 use serde::{get_field, DeError, Deserialize, Serialize, Value};
 #[cfg(feature = "reference")]
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Flow statistics for one cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -287,100 +291,12 @@ impl Deserialize for FlowMarginal {
     }
 }
 
-impl TabulationIndex {
-    /// Tabulate job flows from this index (quarter `t`) to `after`
-    /// (quarter `t+1`), single-threaded. See [`compute_flows`] for the
-    /// semantics and panics.
-    pub fn flows(&self, after: &TabulationIndex, spec: &MarginalSpec) -> FlowMarginal {
-        self.flows_sharded(after, spec, 1)
-    }
-
-    /// Tabulate job flows with a sharded establishment loop. The result is
-    /// bit-identical at any thread count.
-    pub fn flows_sharded(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        threads: usize,
-    ) -> FlowMarginal {
-        tabulate_flows(self, after, spec, None, threads, Kernel::Auto)
-    }
-
-    /// [`flows_sharded`](Self::flows_sharded) with an explicit [`Kernel`]
-    /// choice. `Kernel::Scalar` forces the scalar establishment-key
-    /// kernel; the result is bit-identical to `Kernel::Auto` by
-    /// construction.
-    pub fn flows_sharded_with_kernel(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        threads: usize,
-        kernel: Kernel,
-    ) -> FlowMarginal {
-        tabulate_flows(self, after, spec, None, threads, kernel)
-    }
-
-    /// Tabulate job flows over only the workers matching `filter` — on
-    /// both sides of the pair — with a sharded establishment loop.
-    pub fn flows_filtered_sharded<F>(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> FlowMarginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        tabulate_flows(self, after, spec, Some(&filter), threads, Kernel::Auto)
-    }
-
-    /// [`flows_filtered_sharded`](Self::flows_filtered_sharded) with an
-    /// explicit [`Kernel`] choice.
-    pub fn flows_filtered_sharded_with_kernel<F>(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-        kernel: Kernel,
-    ) -> FlowMarginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        tabulate_flows(self, after, spec, Some(&filter), threads, kernel)
-    }
-
-    /// Tabulate job flows over only the records matching the declarative
-    /// filter `expr`, compiled against each quarter's index separately
-    /// (the worker-domain truth tables agree; workplace leaves resolve
-    /// against each quarter's own establishment column).
-    pub fn flows_expr_sharded(
-        &self,
-        after: &TabulationIndex,
-        spec: &MarginalSpec,
-        expr: &crate::filter::FilterExpr,
-        threads: usize,
-    ) -> FlowMarginal {
-        let before_filter = expr.compile(self);
-        let after_filter = expr.compile(after);
-        tabulate_flows_split(
-            self,
-            after,
-            spec,
-            Some((&|w| before_filter.matches(w), &|w| after_filter.matches(w))),
-            threads,
-            Kernel::Auto,
-        )
-    }
-}
-
 /// Evaluate the flow query `(B, E, JC, JD)` between two snapshots grouped
 /// by the workplace attributes of `spec`.
 ///
-/// Convenience wrapper: builds two throwaway [`TabulationIndex`]es and
-/// runs the indexed evaluator single-threaded. Callers tabulating a pair
-/// more than once should build (or share) the indexes themselves.
+/// Convenience wrapper: builds two throwaway flat indexes and runs the
+/// indexed evaluator single-threaded. Callers tabulating a pair more than
+/// once should build (or share) [`DatasetIndex`]es themselves.
 ///
 /// # Panics
 /// Panics if the spec has worker attributes (flows are establishment-level
@@ -388,47 +304,31 @@ impl TabulationIndex {
 /// frame (same workplace count; the panel generator guarantees identical
 /// frames).
 pub fn compute_flows(before: &Dataset, after: &Dataset, spec: &MarginalSpec) -> FlowMarginal {
-    TabulationIndex::build(before).flows(&TabulationIndex::build(after), spec)
-}
-
-/// One filter applied to both sides of the pair.
-type PairFilter<'a> = (
-    &'a (dyn Fn(&Worker) -> bool + Sync),
-    &'a (dyn Fn(&Worker) -> bool + Sync),
-);
-
-fn tabulate_flows(
-    before: &TabulationIndex,
-    after: &TabulationIndex,
-    spec: &MarginalSpec,
-    filter: Option<&(dyn Fn(&Worker) -> bool + Sync)>,
-    threads: usize,
-    kernel: Kernel,
-) -> FlowMarginal {
-    tabulate_flows_split(before, after, spec, filter.map(|f| (f, f)), threads, kernel)
+    let index = |d| DatasetIndex::Single(Arc::new(TabulationIndex::build(d)));
+    index(before).flows_sharded(&index(after), spec, 1)
 }
 
 /// Per-shard flow tabulation state, borrowed immutably by every worker
-/// thread. Also built by [`crate::region`] to tabulate each region shard
-/// of a sharded flow pair through the same code path.
-pub(crate) struct FlowPlan<'a> {
+/// thread.
+struct FlowPlan<'a> {
     before: &'a TabulationIndex,
     after: &'a TabulationIndex,
     /// Workplace code columns of the spec's workplace attributes, from the
     /// before-quarter (both quarters share the establishment frame).
     wp_cols: Vec<&'a [u32]>,
     wp_strides: Vec<u64>,
-    filters: Option<PairFilter<'a>>,
+    /// The population filter, compiled against each quarter's index.
+    filters: Option<&'a (CompiledFilter, CompiledFilter)>,
     kernel: Kernel,
 }
 
 impl<'a> FlowPlan<'a> {
-    pub(crate) fn new(
+    fn new(
         before: &'a TabulationIndex,
         after: &'a TabulationIndex,
         spec: &MarginalSpec,
         schema: &CellSchema,
-        filters: Option<PairFilter<'a>>,
+        filters: Option<&'a (CompiledFilter, CompiledFilter)>,
         kernel: Kernel,
     ) -> Self {
         assert!(
@@ -457,6 +357,33 @@ impl<'a> FlowPlan<'a> {
     }
 }
 
+/// The flow driver: one [`FlowPlan`] per aligned `(before, after)` shard
+/// pair, establishment windows of the before-quarter tabulated into
+/// sorted runs of per-establishment `(key, before, after)` contributions
+/// on at most `threads` workers, k-way merged into [`FlowStats`]. A flat
+/// index pair is the one-shard case.
+pub(crate) fn tabulate_flows(
+    pairs: &[(&TabulationIndex, &TabulationIndex)],
+    filters: &[Option<(CompiledFilter, CompiledFilter)>],
+    spec: &MarginalSpec,
+    schema: CellSchema,
+    threads: usize,
+    kernel: Kernel,
+) -> FlowMarginal {
+    let plans: Vec<FlowPlan<'_>> = pairs
+        .iter()
+        .zip(filters)
+        .map(|(&(before, after), filters)| {
+            FlowPlan::new(before, after, spec, &schema, filters.as_ref(), kernel)
+        })
+        .collect();
+    let befores: Vec<&TabulationIndex> = pairs.iter().map(|&(before, _)| before).collect();
+    let runs = run_sharded(&befores, threads, |task| {
+        flow_shard(&plans[task.shard], task.lo, task.hi)
+    });
+    FlowMarginal::from_sorted(spec.clone(), schema, merge_flow_runs(runs))
+}
+
 /// Establishments per precomputed key block (128 KiB of `u64` keys).
 const ESTAB_BLOCK: usize = 1 << 14;
 
@@ -465,7 +392,7 @@ const ESTAB_BLOCK: usize = 1 << 14;
 /// are precomputed blockwise by the [`crate::kernel`] establishment-key
 /// kernel; the per-establishment sizes come straight off each quarter's
 /// CSR offsets (or a filtered scan), unchanged for every kernel choice.
-pub(crate) fn flow_shard(plan: &FlowPlan<'_>, lo: usize, hi: usize) -> Vec<(u64, u32, u32)> {
+fn flow_shard(plan: &FlowPlan<'_>, lo: usize, hi: usize) -> Vec<(u64, u32, u32)> {
     let mut run: Vec<(u64, u32, u32)> = Vec::new();
     let mut max_key: u64 = 0;
     let mut keys: Vec<u64> = Vec::new();
@@ -498,64 +425,23 @@ pub(crate) fn flow_shard(plan: &FlowPlan<'_>, lo: usize, hi: usize) -> Vec<(u64,
     run
 }
 
-/// The indexed flow evaluator: shard the shared establishment frame,
-/// tabulate sorted runs of per-establishment `(key, before, after)`
-/// contributions, k-way merge into [`FlowStats`].
-fn tabulate_flows_split(
-    before: &TabulationIndex,
-    after: &TabulationIndex,
-    spec: &MarginalSpec,
-    filters: Option<PairFilter<'_>>,
-    threads: usize,
-    kernel: Kernel,
-) -> FlowMarginal {
-    let schema = before.schema(spec);
-    let n_estabs = before.num_establishments();
-    let plan = FlowPlan::new(before, after, spec, &schema, filters, kernel);
-    let threads = threads.max(1).min(n_estabs.max(1));
-    let runs: Vec<Vec<(u64, u32, u32)>> = if threads <= 1 {
-        vec![flow_shard(&plan, 0, n_estabs)]
-    } else {
-        // Shard boundaries balanced by the before-quarter's cumulative
-        // worker count (see `TabulationIndex::shard_bounds`); the merge,
-        // not the chunking, carries the determinism guarantee.
-        let bounds = before.shard_bounds(threads);
-        std::thread::scope(|scope| {
-            let plan = &plan;
-            let handles: Vec<_> = bounds
-                .windows(2)
-                .map(|w| {
-                    let (lo, hi) = (w[0], w[1]);
-                    scope.spawn(move || flow_shard(plan, lo, hi))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("flow tabulation shard panicked"))
-                .collect()
-        })
-    };
-    FlowMarginal::from_sorted(spec.clone(), schema, merge_flow_runs(runs))
-}
-
 /// One quarter's (possibly filtered) employment of establishment `e`.
 #[inline]
-fn side_count(
-    index: &TabulationIndex,
-    e: usize,
-    filter: Option<&(dyn Fn(&Worker) -> bool + Sync)>,
-) -> u32 {
+fn side_count(index: &TabulationIndex, e: usize, filter: Option<&CompiledFilter>) -> u32 {
     let range = index.worker_range(e);
     match filter {
         None => range.len() as u32,
-        Some(f) => index.workers()[range].iter().filter(|w| f(w)).count() as u32,
+        Some(f) => index.workers()[range]
+            .iter()
+            .filter(|w| f.matches(w))
+            .count() as u32,
     }
 }
 
 /// Deterministic k-way merge of per-shard sorted runs: every
 /// `(cell, establishment)` contribution with the same key folds into one
 /// [`FlowStats`] via commutative sums and maxima.
-pub(crate) fn merge_flow_runs(runs: Vec<Vec<(u64, u32, u32)>>) -> Vec<(CellKey, FlowStats)> {
+fn merge_flow_runs(runs: Vec<Vec<(u64, u32, u32)>>) -> Vec<(CellKey, FlowStats)> {
     let mut pos = vec![0usize; runs.len()];
     let mut out: Vec<(CellKey, FlowStats)> =
         Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
@@ -624,7 +510,14 @@ pub fn compute_flows_legacy(
 mod tests {
     use super::*;
     use crate::attr::{MarginalSpec, WorkerAttr, WorkplaceAttr};
-    use lodes::{DatasetPanel, GeneratorConfig, PanelConfig};
+    use crate::filter::FilterExpr;
+    use lodes::{DatasetPanel, GeneratorConfig, PanelConfig, Sex};
+
+    /// Flat (single-shard) indexes of the panel's two quarters.
+    fn flat_pair(p: &DatasetPanel) -> (DatasetIndex, DatasetIndex) {
+        let flat = |q| DatasetIndex::build_with_threshold(p.quarter(q), usize::MAX);
+        (flat(0), flat(1))
+    }
 
     fn panel() -> DatasetPanel {
         DatasetPanel::generate(
@@ -707,8 +600,7 @@ mod tests {
     fn sharded_flows_are_bit_identical_at_any_thread_count() {
         let p = panel();
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Place, WorkplaceAttr::Naics], vec![]);
-        let before = TabulationIndex::build(p.quarter(0));
-        let after = TabulationIndex::build(p.quarter(1));
+        let (before, after) = flat_pair(&p);
         let reference = before.flows_sharded(&after, &spec, 1);
         for threads in [2, 3, 7, 64] {
             let sharded = before.flows_sharded(&after, &spec, threads);
@@ -721,10 +613,9 @@ mod tests {
     /// Auto (AVX2 on CI hardware) agree bit-for-bit.
     #[test]
     fn simd_and_scalar_flow_kernels_are_bit_identical() {
-        use crate::kernel::Kernel;
         let p = panel();
-        let before = TabulationIndex::build(p.quarter(0));
-        let after = TabulationIndex::build(p.quarter(1));
+        let (before, after) = flat_pair(&p);
+        let female = FilterExpr::sex(Sex::Female);
         let specs = [
             MarginalSpec::new(vec![], vec![]),
             MarginalSpec::new(vec![WorkplaceAttr::Naics], vec![]),
@@ -739,25 +630,12 @@ mod tests {
         ];
         for spec in &specs {
             for threads in [1, 3] {
-                let scalar =
-                    before.flows_sharded_with_kernel(&after, spec, threads, Kernel::Scalar);
-                let auto = before.flows_sharded_with_kernel(&after, spec, threads, Kernel::Auto);
+                let scalar = before.flows(&after, spec, None, threads, Kernel::Scalar);
+                let auto = before.flows(&after, spec, None, threads, Kernel::Auto);
                 assert_eq!(auto, scalar);
                 assert_eq!(auto.content_digest(), scalar.content_digest());
-                let scalar_f = before.flows_filtered_sharded_with_kernel(
-                    &after,
-                    spec,
-                    |w| w.sex == lodes::Sex::Female,
-                    threads,
-                    Kernel::Scalar,
-                );
-                let auto_f = before.flows_filtered_sharded_with_kernel(
-                    &after,
-                    spec,
-                    |w| w.sex == lodes::Sex::Female,
-                    threads,
-                    Kernel::Auto,
-                );
+                let scalar_f = before.flows(&after, spec, Some(&female), threads, Kernel::Scalar);
+                let auto_f = before.flows(&after, spec, Some(&female), threads, Kernel::Auto);
                 assert_eq!(auto_f, scalar_f);
             }
         }
@@ -765,14 +643,12 @@ mod tests {
 
     #[test]
     fn filtered_flows_count_matching_workers_on_both_sides() {
-        use lodes::Sex;
         let p = panel();
         let spec = MarginalSpec::new(vec![WorkplaceAttr::County], vec![]);
-        let before = TabulationIndex::build(p.quarter(0));
-        let after = TabulationIndex::build(p.quarter(1));
+        let (before, after) = flat_pair(&p);
         let all = before.flows_sharded(&after, &spec, 2);
-        let female = before.flows_filtered_sharded(&after, &spec, |w| w.sex == Sex::Female, 2);
-        let male = before.flows_filtered_sharded(&after, &spec, |w| w.sex == Sex::Male, 2);
+        let female = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Female), 2);
+        let male = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Male), 2);
         assert_eq!(
             female.totals().beginning + male.totals().beginning,
             all.totals().beginning
@@ -781,10 +657,9 @@ mod tests {
             female.totals().ending + male.totals().ending,
             all.totals().ending
         );
-        // The declarative-filter path agrees with the closure path.
-        let expr = crate::filter::FilterExpr::sex(Sex::Female);
-        let via_expr = before.flows_expr_sharded(&after, &spec, &expr, 3);
-        assert_eq!(via_expr, female);
+        // Thread count never changes a filtered flow either.
+        let via_3 = before.flows_expr_sharded(&after, &spec, &FilterExpr::sex(Sex::Female), 3);
+        assert_eq!(via_3, female);
     }
 
     #[test]

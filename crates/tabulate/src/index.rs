@@ -163,6 +163,12 @@ impl TabulationIndex {
         self.offsets[e] as usize..self.offsets[e + 1] as usize
     }
 
+    /// Workers employed by establishments `lo..hi`.
+    #[inline]
+    pub(crate) fn workers_between(&self, lo: usize, hi: usize) -> usize {
+        (self.offsets[hi] - self.offsets[lo]) as usize
+    }
+
     /// Worker records in employer-grouped order.
     #[inline]
     pub(crate) fn workers(&self) -> &[Worker] {

@@ -19,9 +19,11 @@
 //!
 //! Evaluation runs on a columnar, employer-grouped [`TabulationIndex`]
 //! (CSR worker ranges + pre-extracted attribute code columns), built once
-//! per dataset and shared across every tabulation of it; the
-//! establishment loop shards across scoped threads and merges sorted
-//! per-shard runs deterministically. The engine is deterministic: cells
+//! per dataset — or once per state at national scale — and shared across
+//! every tabulation of it. [`DatasetIndex`] is the one evaluator over both
+//! representations: the establishment loop of every shard splits into
+//! windows on at most `threads` scoped workers, and the sorted per-window
+//! runs merge deterministically. The engine is deterministic: cells
 //! live in a `Vec` sorted by packed key, so iteration order (and
 //! therefore experiment output) is stable across runs *and* bit-identical
 //! at any thread count.
@@ -29,9 +31,8 @@
 //! Sub-population workloads (Ranking 2, OnTheMap-style extracts) restrict
 //! the tabulated population with a declarative [`FilterExpr`] — a
 //! serializable AST over worker and workplace attributes with a stable
-//! content digest ([`FilterId`]) — compiled against the index into the
-//! same closure form the raw `Fn(&Worker) -> bool` API consumes; see
-//! [`filter`].
+//! content digest ([`FilterId`]) — compiled against each index shard into
+//! a [`CompiledFilter`] of per-establishment truth tables; see [`filter`].
 
 // Marginals, specs, filters, and the index are agency-facing API surface;
 // undocumented additions fail `cargo doc -D warnings` in CI.
@@ -53,7 +54,7 @@ pub mod workload;
 pub use area::{area_comparison, validate_disjoint, AreaSelection, OverlapError};
 pub use attr::{Attr, MarginalSpec, WorkerAttr, WorkplaceAttr};
 pub use cell::{CellKey, CellSchema};
-pub use engine::{compute_marginal, compute_marginal_expr, compute_marginal_filtered};
+pub use engine::compute_marginal;
 #[cfg(feature = "reference")]
 pub use engine::{compute_marginal_filtered_legacy, compute_marginal_legacy};
 pub use filter::{Cmp, CompiledFilter, FilterExpr, FilterId};

@@ -29,27 +29,26 @@
 //!
 //! **Worker ids are shard-local.** Each shard's index rebases worker ids
 //! dense-per-shard (see [`IndexBuilder`]); declarative [`FilterExpr`]
-//! filters are unaffected (compiled per shard, they read attributes
-//! only), but raw closure filters that inspect `Worker::id` would see
-//! local ids — the engine's filters never do.
+//! filters are unaffected, because they are compiled per shard and read
+//! attributes only.
 //!
-//! [`DatasetIndex`] is the dispatch layer the release engine holds: a
-//! flat index for ordinary datasets, a [`RegionShardedIndex`] above a
-//! size threshold, one evaluator surface over both.
+//! [`DatasetIndex`] is the one evaluator surface: a flat index for
+//! ordinary datasets, a [`RegionShardedIndex`] above a size threshold. A
+//! flat index is the one-shard case of a region index, so both go through
+//! the same marginal and flow drivers, which run worker-balanced
+//! establishment windows of every shard on at most `threads` workers.
 
 use crate::attr::MarginalSpec;
 use crate::cell::CellSchema;
-use crate::engine::{merge_runs, tabulate_shard, ShardPlan, MIN_SHARD_WORKERS};
+use crate::engine::{tabulate_marginal, MIN_SHARD_WORKERS};
 use crate::filter::FilterExpr;
-use crate::flows::{flow_shard, merge_flow_runs, FlowMarginal, FlowPlan};
+use crate::flows::{tabulate_flows, FlowMarginal};
 use crate::index::{cards_from_geography, schema_from_cards, IndexBuilder, TabulationIndex};
 use crate::kernel::Kernel;
 use crate::marginal::Marginal;
 use lodes::{Dataset, Geography, Worker, WorkerId, Workplace};
+use std::ops::Range;
 use std::sync::Arc;
-
-/// A per-shard optional worker predicate, borrowed for one evaluation.
-type ShardFilter<'a> = Option<&'a (dyn Fn(&Worker) -> bool + Sync)>;
 
 /// One state's slice of the universe: its home-state id plus a flat
 /// [`TabulationIndex`] over exactly its establishments.
@@ -125,282 +124,6 @@ impl RegionShardedIndex {
     /// [`TabulationIndex::schema`] over the same universe.
     pub fn schema(&self, spec: &MarginalSpec) -> CellSchema {
         schema_from_cards(&self.workplace_cards, spec)
-    }
-
-    /// Advisory shard-count heuristic over the whole region set — same
-    /// floor as [`TabulationIndex::effective_shards`], applied to the
-    /// national worker count.
-    pub fn effective_shards(&self, threads: usize) -> usize {
-        threads
-            .max(1)
-            .min((self.num_workers / MIN_SHARD_WORKERS).max(1))
-            .min(self.num_establishments.max(1))
-    }
-
-    /// Evaluate `q_V` across all region shards, splitting up to `threads`
-    /// scoped workers among them in proportion to shard worker counts.
-    /// Bit-identical to the flat index's result at any thread count.
-    pub fn marginal_sharded(&self, spec: &MarginalSpec, threads: usize) -> Marginal {
-        self.marginal_sharded_with_kernel(spec, threads, Kernel::Auto)
-    }
-
-    /// [`marginal_sharded`](Self::marginal_sharded) with an explicit
-    /// [`Kernel`] choice.
-    pub fn marginal_sharded_with_kernel(
-        &self,
-        spec: &MarginalSpec,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        let filters = vec![None; self.shards.len()];
-        self.marginal_with_filters(spec, filters, threads, kernel)
-    }
-
-    /// Evaluate `q_V` over only the workers matching `filter`. The
-    /// closure receives shard-local worker records (rebased ids — see the
-    /// [module docs](self)); attribute-based predicates behave exactly as
-    /// on a flat index.
-    pub fn marginal_filtered_sharded<F>(
-        &self,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        let f: &(dyn Fn(&Worker) -> bool + Sync) = &filter;
-        let filters = vec![Some(f); self.shards.len()];
-        self.marginal_with_filters(spec, filters, threads, Kernel::Auto)
-    }
-
-    /// Evaluate `q_V` over only the records matching the declarative
-    /// filter `expr`, compiled once per shard (workplace leaves resolve
-    /// against each shard's own establishment columns). Bit-identical to
-    /// the flat index's [`TabulationIndex::marginal_expr_sharded`].
-    pub fn marginal_expr_sharded(
-        &self,
-        spec: &MarginalSpec,
-        expr: &FilterExpr,
-        threads: usize,
-    ) -> Marginal {
-        self.marginal_expr_sharded_with_kernel(spec, expr, threads, Kernel::Auto)
-    }
-
-    /// [`marginal_expr_sharded`](Self::marginal_expr_sharded) with an
-    /// explicit [`Kernel`] choice.
-    pub fn marginal_expr_sharded_with_kernel(
-        &self,
-        spec: &MarginalSpec,
-        expr: &FilterExpr,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        let compiled: Vec<_> = self.shards.iter().map(|s| expr.compile(&s.index)).collect();
-        let closures: Vec<_> = compiled
-            .iter()
-            .map(|c| move |w: &Worker| c.matches(w))
-            .collect();
-        let filters: Vec<ShardFilter<'_>> = closures
-            .iter()
-            .map(|c| Some(c as &(dyn Fn(&Worker) -> bool + Sync)))
-            .collect();
-        self.marginal_with_filters(spec, filters, threads, kernel)
-    }
-
-    /// The sharded evaluator core: one [`ShardPlan`] per region shard
-    /// (with that shard's filter), worker-proportional thread budgets,
-    /// every establishment window tabulated in one scope, all runs merged
-    /// by the deterministic k-way merge.
-    fn marginal_with_filters(
-        &self,
-        spec: &MarginalSpec,
-        filters: Vec<ShardFilter<'_>>,
-        threads: usize,
-        kernel: Kernel,
-    ) -> Marginal {
-        let schema = self.schema(spec);
-        let plans: Vec<ShardPlan<'_>> = self
-            .shards
-            .iter()
-            .zip(&filters)
-            .map(|(s, &f)| ShardPlan::new(&s.index, spec, &schema, f, kernel))
-            .collect();
-        let tasks = self.plan_tasks(threads);
-        let runs: Vec<Vec<(u64, u32)>> = if threads.max(1) <= 1 {
-            tasks
-                .iter()
-                .map(|&(i, lo, hi)| tabulate_shard(&plans[i], lo, hi))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let plans = &plans;
-                let handles: Vec<_> = tasks
-                    .iter()
-                    .map(|&(i, lo, hi)| scope.spawn(move || tabulate_shard(&plans[i], lo, hi)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("region tabulation shard panicked"))
-                    .collect()
-            })
-        };
-        Marginal::from_sorted(spec.clone(), schema, merge_runs(runs))
-    }
-
-    /// Split `threads` across region shards in proportion to worker
-    /// counts (every shard gets at least one window) and expand each
-    /// budget into worker-balanced establishment windows. Returns
-    /// `(shard, lo, hi)` tasks. Pure function of the index and `threads`,
-    /// but determinism never depends on it — the merge does that.
-    fn plan_tasks(&self, threads: usize) -> Vec<(usize, usize, usize)> {
-        let threads = threads.max(1);
-        let total = self.num_workers.max(1);
-        let mut tasks = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let budget = (threads * shard.index.num_workers() / total).max(1);
-            for w in shard.index.shard_bounds(budget).windows(2) {
-                tasks.push((i, w[0], w[1]));
-            }
-        }
-        tasks
-    }
-
-    /// Tabulate job flows from this sharded quarter (`t`) to `after`
-    /// (`t+1`). Both quarters must share the establishment frame shard by
-    /// shard (the panel generator guarantees a fixed frame, so partitions
-    /// agree). Bit-identical to the flat pair's
-    /// [`TabulationIndex::flows_sharded`].
-    ///
-    /// # Panics
-    /// Panics if the spec has worker attributes or the shard structures
-    /// disagree (different states or establishment counts).
-    pub fn flows_sharded(
-        &self,
-        after: &RegionShardedIndex,
-        spec: &MarginalSpec,
-        threads: usize,
-    ) -> FlowMarginal {
-        self.flows_with_filters(
-            after,
-            spec,
-            vec![None; self.shards.len()],
-            threads,
-            Kernel::Auto,
-        )
-    }
-
-    /// Tabulate job flows over only the workers matching `filter` on both
-    /// sides of the pair (shard-local worker records, as with
-    /// [`marginal_filtered_sharded`](Self::marginal_filtered_sharded)).
-    pub fn flows_filtered_sharded<F>(
-        &self,
-        after: &RegionShardedIndex,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> FlowMarginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        let f: &(dyn Fn(&Worker) -> bool + Sync) = &filter;
-        let filters = vec![Some((f, f)); self.shards.len()];
-        self.flows_with_filters(after, spec, filters, threads, Kernel::Auto)
-    }
-
-    /// Tabulate job flows over only the records matching the declarative
-    /// filter `expr`, compiled per shard per quarter.
-    pub fn flows_expr_sharded(
-        &self,
-        after: &RegionShardedIndex,
-        spec: &MarginalSpec,
-        expr: &FilterExpr,
-        threads: usize,
-    ) -> FlowMarginal {
-        let before_compiled: Vec<_> = self.shards.iter().map(|s| expr.compile(&s.index)).collect();
-        let after_compiled: Vec<_> = after
-            .shards
-            .iter()
-            .map(|s| expr.compile(&s.index))
-            .collect();
-        let closures: Vec<_> = before_compiled
-            .iter()
-            .zip(&after_compiled)
-            .map(|(b, a)| {
-                (
-                    move |w: &Worker| b.matches(w),
-                    move |w: &Worker| a.matches(w),
-                )
-            })
-            .collect();
-        let filters: Vec<_> = closures
-            .iter()
-            .map(|(b, a)| {
-                Some((
-                    b as &(dyn Fn(&Worker) -> bool + Sync),
-                    a as &(dyn Fn(&Worker) -> bool + Sync),
-                ))
-            })
-            .collect();
-        self.flows_with_filters(after, spec, filters, threads, Kernel::Auto)
-    }
-
-    /// The sharded flow evaluator core: one [`FlowPlan`] per aligned
-    /// shard pair, the same worker-proportional task split as marginals,
-    /// merged by the deterministic flow merge.
-    #[allow(clippy::type_complexity)]
-    fn flows_with_filters(
-        &self,
-        after: &RegionShardedIndex,
-        spec: &MarginalSpec,
-        filters: Vec<
-            Option<(
-                &(dyn Fn(&Worker) -> bool + Sync),
-                &(dyn Fn(&Worker) -> bool + Sync),
-            )>,
-        >,
-        threads: usize,
-        kernel: Kernel,
-    ) -> FlowMarginal {
-        assert_eq!(
-            self.shards.len(),
-            after.shards.len(),
-            "flow tabulation requires matching region shard structures"
-        );
-        let schema = self.schema(spec);
-        let plans: Vec<FlowPlan<'_>> = self
-            .shards
-            .iter()
-            .zip(&after.shards)
-            .zip(&filters)
-            .map(|((b, a), &f)| {
-                assert_eq!(
-                    b.state, a.state,
-                    "flow tabulation requires matching region shard structures"
-                );
-                FlowPlan::new(&b.index, &a.index, spec, &schema, f, kernel)
-            })
-            .collect();
-        let tasks = self.plan_tasks(threads);
-        let runs: Vec<Vec<(u64, u32, u32)>> = if threads.max(1) <= 1 {
-            tasks
-                .iter()
-                .map(|&(i, lo, hi)| flow_shard(&plans[i], lo, hi))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let plans = &plans;
-                let handles: Vec<_> = tasks
-                    .iter()
-                    .map(|&(i, lo, hi)| scope.spawn(move || flow_shard(&plans[i], lo, hi)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("region flow shard panicked"))
-                    .collect()
-            })
-        };
-        FlowMarginal::from_sorted(spec.clone(), schema, merge_flow_runs(runs))
     }
 }
 
@@ -491,9 +214,10 @@ impl RegionIndexBuilder {
 /// start to dominate).
 pub const SHARD_JOB_THRESHOLD: usize = 4_000_000;
 
-/// The release engine's view of an indexed dataset: one flat
-/// [`TabulationIndex`] for ordinary datasets, a [`RegionShardedIndex`]
-/// at national scale — one evaluator surface over both, every result
+/// An indexed dataset and the crate's only tabulation evaluator: one flat
+/// [`TabulationIndex`] for ordinary datasets, a [`RegionShardedIndex`] at
+/// national scale. [`marginal`](Self::marginal) and [`flows`](Self::flows)
+/// take the filter, thread count and kernel as data; every result is
 /// bit-identical between the two representations.
 #[derive(Debug, Clone)]
 pub enum DatasetIndex {
@@ -543,100 +267,130 @@ impl DatasetIndex {
         }
     }
 
-    /// Advisory shard-count heuristic; see
-    /// [`TabulationIndex::effective_shards`].
+    /// The key schema `spec` induces — the same for both representations.
+    pub fn schema(&self, spec: &MarginalSpec) -> CellSchema {
+        match self {
+            Self::Single(i) => i.schema(spec),
+            Self::Sharded(s) => s.schema(spec),
+        }
+    }
+
+    /// The flat indexes the drivers tabulate: the index itself, or one
+    /// per state shard.
+    fn shards(&self) -> Vec<&TabulationIndex> {
+        match self {
+            Self::Single(i) => vec![i.as_ref()],
+            Self::Sharded(s) => s.shards.iter().map(|shard| &shard.index).collect(),
+        }
+    }
+
+    /// Advisory shard-count heuristic: the number of workers `threads`
+    /// should actually be cut down to on this index so that parallel
+    /// tabulation never loses to single-threaded.
+    ///
+    /// Every window costs a sorted run plus a k-way-merge cursor, and a
+    /// window scanning only a few thousand workers finishes faster than
+    /// its thread spawns — on small datasets the fixed per-window overhead
+    /// made the recorded multithreaded full-attribute workload *slower*
+    /// than 1T. The heuristic caps the count so each worker scans at least
+    /// `MIN_SHARD_WORKERS` (2¹⁶) workers, collapsing to one (the 1T code
+    /// path, bit-identical by the merge guarantee) whenever the dataset is
+    /// too small to amortize fan-out. The release engine and the benchmark
+    /// apply it before tabulating; direct evaluator calls keep the
+    /// caller's count so tests can force any layout.
     pub fn effective_shards(&self, threads: usize) -> usize {
-        match self {
-            Self::Single(i) => i.effective_shards(threads),
-            Self::Sharded(s) => s.effective_shards(threads),
-        }
+        threads
+            .max(1)
+            .min((self.num_workers() / MIN_SHARD_WORKERS).max(1))
+            .min(self.num_establishments().max(1))
     }
 
-    /// Evaluate `q_V`; see [`TabulationIndex::marginal_sharded`].
-    pub fn marginal_sharded(&self, spec: &MarginalSpec, threads: usize) -> Marginal {
-        match self {
-            Self::Single(i) => i.marginal_sharded(spec, threads),
-            Self::Sharded(s) => s.marginal_sharded(spec, threads),
-        }
-    }
-
-    /// Evaluate a closure-filtered `q_V`; see
-    /// [`TabulationIndex::marginal_filtered_sharded`]. On the sharded
-    /// representation the closure sees shard-local worker records.
-    pub fn marginal_filtered_sharded<F>(
+    /// Evaluate `q_V` over the records matching `filter` (all records when
+    /// `None`), tabulating on at most `threads` scoped workers with the
+    /// given key [`Kernel`]. The filter is compiled once per shard; the
+    /// result is bit-identical at any thread count, for either kernel and
+    /// either representation.
+    pub fn marginal(
         &self,
         spec: &MarginalSpec,
-        filter: F,
+        filter: Option<&FilterExpr>,
         threads: usize,
-    ) -> Marginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        match self {
-            Self::Single(i) => i.marginal_filtered_sharded(spec, filter, threads),
-            Self::Sharded(s) => s.marginal_filtered_sharded(spec, filter, threads),
+        kernel: Kernel,
+    ) -> Marginal {
+        let shards = self.shards();
+        let filters: Vec<_> = shards
+            .iter()
+            .map(|&shard| filter.map(|expr| expr.compile(shard)))
+            .collect();
+        tabulate_marginal(&shards, &filters, spec, self.schema(spec), threads, kernel)
+    }
+
+    /// Tabulate job flows from this quarter (`t`) to `after` (`t+1`) over
+    /// the records matching `filter` on *both* sides of the pair (all
+    /// records when `None`). The filter is compiled against each quarter's
+    /// shards separately (worker-domain truth tables agree; workplace
+    /// leaves resolve against each quarter's own establishment columns).
+    /// Bit-identical at any thread count, for either kernel and either
+    /// representation.
+    ///
+    /// # Panics
+    /// Panics if the spec has worker attributes, if the two quarters use
+    /// different representations (the release engine derives the before
+    /// index's representation from the after index's), or if their
+    /// establishment frames disagree shard by shard.
+    pub fn flows(
+        &self,
+        after: &DatasetIndex,
+        spec: &MarginalSpec,
+        filter: Option<&FilterExpr>,
+        threads: usize,
+        kernel: Kernel,
+    ) -> FlowMarginal {
+        match (self, after) {
+            (Self::Single(_), Self::Single(_)) => {}
+            (Self::Sharded(b), Self::Sharded(a)) => assert!(
+                b.shard_states().eq(a.shard_states()),
+                "flow tabulation requires matching region shard structures"
+            ),
+            _ => panic!("flow tabulation requires both quarters in the same index representation"),
         }
+        let pairs: Vec<_> = self.shards().into_iter().zip(after.shards()).collect();
+        let filters: Vec<_> = pairs
+            .iter()
+            .map(|&(b, a)| filter.map(|expr| (expr.compile(b), expr.compile(a))))
+            .collect();
+        tabulate_flows(&pairs, &filters, spec, self.schema(spec), threads, kernel)
+    }
+
+    /// Evaluate the unfiltered `q_V`; see [`marginal`](Self::marginal).
+    pub fn marginal_sharded(&self, spec: &MarginalSpec, threads: usize) -> Marginal {
+        self.marginal(spec, None, threads, Kernel::Auto)
     }
 
     /// Evaluate a declaratively filtered `q_V`; see
-    /// [`TabulationIndex::marginal_expr_sharded`].
+    /// [`marginal`](Self::marginal).
     pub fn marginal_expr_sharded(
         &self,
         spec: &MarginalSpec,
         expr: &FilterExpr,
         threads: usize,
     ) -> Marginal {
-        match self {
-            Self::Single(i) => i.marginal_expr_sharded(spec, expr, threads),
-            Self::Sharded(s) => s.marginal_expr_sharded(spec, expr, threads),
-        }
+        self.marginal(spec, Some(expr), threads, Kernel::Auto)
     }
 
-    /// Tabulate job flows to `after`; see
-    /// [`TabulationIndex::flows_sharded`].
-    ///
-    /// # Panics
-    /// Panics if the two quarters use different representations (the
-    /// release engine always indexes a panel's quarters the same way) or
-    /// their frames disagree.
+    /// Tabulate unfiltered job flows to `after`; see
+    /// [`flows`](Self::flows).
     pub fn flows_sharded(
         &self,
         after: &DatasetIndex,
         spec: &MarginalSpec,
         threads: usize,
     ) -> FlowMarginal {
-        match (self, after) {
-            (Self::Single(b), Self::Single(a)) => b.flows_sharded(a, spec, threads),
-            (Self::Sharded(b), Self::Sharded(a)) => b.flows_sharded(a, spec, threads),
-            _ => panic!("flow tabulation requires both quarters in the same index representation"),
-        }
-    }
-
-    /// Tabulate closure-filtered job flows to `after`; see
-    /// [`TabulationIndex::flows_filtered_sharded`].
-    pub fn flows_filtered_sharded<F>(
-        &self,
-        after: &DatasetIndex,
-        spec: &MarginalSpec,
-        filter: F,
-        threads: usize,
-    ) -> FlowMarginal
-    where
-        F: Fn(&Worker) -> bool + Sync,
-    {
-        match (self, after) {
-            (Self::Single(b), Self::Single(a)) => {
-                b.flows_filtered_sharded(a, spec, filter, threads)
-            }
-            (Self::Sharded(b), Self::Sharded(a)) => {
-                b.flows_filtered_sharded(a, spec, filter, threads)
-            }
-            _ => panic!("flow tabulation requires both quarters in the same index representation"),
-        }
+        self.flows(after, spec, None, threads, Kernel::Auto)
     }
 
     /// Tabulate declaratively filtered job flows to `after`; see
-    /// [`TabulationIndex::flows_expr_sharded`].
+    /// [`flows`](Self::flows).
     pub fn flows_expr_sharded(
         &self,
         after: &DatasetIndex,
@@ -644,12 +398,100 @@ impl DatasetIndex {
         expr: &FilterExpr,
         threads: usize,
     ) -> FlowMarginal {
-        match (self, after) {
-            (Self::Single(b), Self::Single(a)) => b.flows_expr_sharded(a, spec, expr, threads),
-            (Self::Sharded(b), Self::Sharded(a)) => b.flows_expr_sharded(a, spec, expr, threads),
-            _ => panic!("flow tabulation requires both quarters in the same index representation"),
+        self.flows(after, spec, Some(expr), threads, Kernel::Auto)
+    }
+}
+
+/// One unit of tabulation work: establishments `lo..hi` of shard `shard`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Task {
+    pub(crate) shard: usize,
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+}
+
+/// Split `threads` across shards in proportion to worker counts (every
+/// shard gets at least one window) and expand each budget into
+/// worker-balanced establishment windows. With one shard this is exactly
+/// [`TabulationIndex::shard_bounds`]`(threads)`. A pure function of the
+/// shards and `threads`, but determinism never depends on it — the merge
+/// does that.
+fn plan_tasks(shards: &[&TabulationIndex], threads: usize) -> Vec<Task> {
+    let threads = threads.max(1);
+    let total = shards.iter().map(|s| s.num_workers()).sum::<usize>().max(1);
+    let mut tasks = Vec::new();
+    for (shard, index) in shards.iter().enumerate() {
+        let budget = (threads * index.num_workers() / total).max(1);
+        for w in index.shard_bounds(budget).windows(2) {
+            tasks.push(Task {
+                shard,
+                lo: w[0],
+                hi: w[1],
+            });
         }
     }
+    tasks
+}
+
+/// Group tasks of the given worker `weights` into at most `workers`
+/// contiguous, nonempty ranges of roughly equal total weight. Every shard
+/// gets at least one window, so a national index has more tasks than a
+/// small thread cap — this grouping is what keeps the thread count at the
+/// cap.
+fn assign_tasks(weights: &[usize], workers: usize) -> Vec<Range<usize>> {
+    let n = weights.len();
+    let workers = workers.clamp(1, n.max(1));
+    let total = weights.iter().sum::<usize>().max(1);
+    let mut groups = Vec::with_capacity(workers);
+    let (mut start, mut sum) = (0, 0);
+    for (i, &w) in weights.iter().enumerate() {
+        sum += w;
+        let closing = groups.len() + 1;
+        if closing == workers {
+            break;
+        }
+        // Close the group once it holds its share of the weight — or when
+        // every remaining task is needed to give each later group one —
+        // but never leave a later group without a task.
+        let left = n - i - 1;
+        let later = workers - closing;
+        if left >= later && (sum * workers >= total * closing || left == later) {
+            groups.push(start..i + 1);
+            start = i + 1;
+        }
+    }
+    groups.push(start..n);
+    groups
+}
+
+/// Run every task of `shards`' plan on at most `threads` scoped workers
+/// (inline when `threads <= 1`), returning one result per task.
+pub(crate) fn run_sharded<R: Send>(
+    shards: &[&TabulationIndex],
+    threads: usize,
+    tabulate: impl Fn(&Task) -> R + Sync,
+) -> Vec<R> {
+    let tasks = plan_tasks(shards, threads);
+    if threads <= 1 || tasks.len() <= 1 {
+        return tasks.iter().map(tabulate).collect();
+    }
+    let weights: Vec<usize> = tasks
+        .iter()
+        .map(|t| shards[t.shard].workers_between(t.lo, t.hi))
+        .collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = assign_tasks(&weights, threads)
+            .into_iter()
+            .map(|group| {
+                let (tasks, tabulate) = (&tasks[group], &tabulate);
+                scope.spawn(move || tasks.iter().map(tabulate).collect::<Vec<R>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("tabulation worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -661,6 +503,14 @@ mod tests {
     fn dataset() -> Dataset {
         // Multi-state universe so the partition is non-trivial.
         Generator::new(GeneratorConfig::test_small(11)).generate()
+    }
+
+    fn flat(d: &Dataset) -> DatasetIndex {
+        DatasetIndex::build_with_threshold(d, usize::MAX)
+    }
+
+    fn sharded(d: &Dataset) -> DatasetIndex {
+        DatasetIndex::build_with_threshold(d, 1)
     }
 
     fn specs() -> Vec<MarginalSpec> {
@@ -696,9 +546,10 @@ mod tests {
     #[test]
     fn sharded_marginals_are_bit_identical_to_flat_index() {
         let d = dataset();
-        let flat = TabulationIndex::build(&d);
-        let sharded = RegionShardedIndex::build(&d);
-        assert!(sharded.num_shards() > 1, "universe must span states");
+        let flat = flat(&d);
+        let region = RegionShardedIndex::build(&d);
+        assert!(region.num_shards() > 1, "universe must span states");
+        let sharded = DatasetIndex::Sharded(Arc::new(region));
         assert_eq!(sharded.num_workers(), flat.num_workers());
         assert_eq!(sharded.num_establishments(), flat.num_establishments());
         for spec in &specs() {
@@ -712,23 +563,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_filtered_and_expr_marginals_match_flat_index() {
+    fn sharded_expr_marginals_match_flat_index() {
         let d = dataset();
-        let flat = TabulationIndex::build(&d);
-        let sharded = RegionShardedIndex::build(&d);
         let spec = MarginalSpec::new(
             vec![WorkplaceAttr::Naics],
             vec![WorkerAttr::Age, WorkerAttr::Education],
         );
+        // A workplace leaf resolves against each shard's own columns.
+        let expr = FilterExpr::sex(Sex::Female).and(FilterExpr::in_state(lodes::StateId(1)));
+        let reference = flat(&d).marginal_expr_sharded(&spec, &expr, 1);
+        assert!(reference.total() > 0);
         for threads in [1, 3] {
-            let f = sharded.marginal_filtered_sharded(&spec, |w| w.sex == Sex::Female, threads);
-            assert_marginals_identical(
-                &f,
-                &flat.marginal_filtered_sharded(&spec, |w| w.sex == Sex::Female, 1),
-            );
-            let expr = FilterExpr::sex(Sex::Female);
-            let e = sharded.marginal_expr_sharded(&spec, &expr, threads);
-            assert_marginals_identical(&e, &f);
+            let e = sharded(&d).marginal_expr_sharded(&spec, &expr, threads);
+            assert_marginals_identical(&e, &reference);
         }
     }
 
@@ -736,7 +583,7 @@ mod tests {
     fn streaming_build_equals_dataset_build() {
         let d = dataset();
         // Stream establishments in dataset order through the builder …
-        let built = RegionShardedIndex::build(&d);
+        let built = sharded(&d);
         // … and again by hand in *reverse* order: the per-shard CSR
         // layout changes, but tabulations must not.
         let (offsets, order) = d.workers_by_employer();
@@ -750,7 +597,7 @@ mod tests {
         }
         assert_eq!(builder.num_workers(), d.num_workers());
         assert_eq!(builder.num_establishments(), d.num_workplaces());
-        let reversed = builder.finish();
+        let reversed = DatasetIndex::Sharded(Arc::new(builder.finish()));
         let spec = MarginalSpec::new(
             vec![WorkplaceAttr::County, WorkplaceAttr::Naics],
             vec![WorkerAttr::Sex],
@@ -772,10 +619,8 @@ mod tests {
                 seed: 7,
             },
         );
-        let flat_b = TabulationIndex::build(p.quarter(0));
-        let flat_a = TabulationIndex::build(p.quarter(1));
-        let shard_b = RegionShardedIndex::build(p.quarter(0));
-        let shard_a = RegionShardedIndex::build(p.quarter(1));
+        let (flat_b, flat_a) = (flat(p.quarter(0)), flat(p.quarter(1)));
+        let (shard_b, shard_a) = (sharded(p.quarter(0)), sharded(p.quarter(1)));
         let spec = MarginalSpec::new(vec![WorkplaceAttr::County, WorkplaceAttr::Naics], vec![]);
         let flat = flat_b.flows_sharded(&flat_a, &spec, 1);
         for threads in [1, 2, 5] {
@@ -783,23 +628,27 @@ mod tests {
             assert_eq!(sharded, flat);
             assert_eq!(sharded.content_digest(), flat.content_digest());
         }
-        // Filtered and declarative paths agree too.
-        let filtered_flat =
-            flat_b.flows_filtered_sharded(&flat_a, &spec, |w| w.sex == Sex::Male, 1);
-        let filtered_sharded =
-            shard_b.flows_filtered_sharded(&shard_a, &spec, |w| w.sex == Sex::Male, 2);
-        assert_eq!(filtered_sharded, filtered_flat);
+        // The filtered path agrees too.
         let expr = FilterExpr::sex(Sex::Male);
-        let expr_sharded = shard_b.flows_expr_sharded(&shard_a, &spec, &expr, 2);
-        assert_eq!(expr_sharded, filtered_flat);
+        let filtered_flat = flat_b.flows_expr_sharded(&flat_a, &spec, &expr, 1);
+        let filtered_sharded = shard_b.flows_expr_sharded(&shard_a, &spec, &expr, 2);
+        assert_eq!(filtered_sharded, filtered_flat);
+    }
+
+    #[test]
+    #[should_panic(expected = "same index representation")]
+    fn flows_refuse_mixed_representations() {
+        let d = dataset();
+        let spec = MarginalSpec::new(vec![WorkplaceAttr::Naics], vec![]);
+        flat(&d).flows_sharded(&sharded(&d), &spec, 1);
     }
 
     #[test]
     fn dataset_index_dispatch_chooses_representation_and_agrees() {
         let d = dataset();
-        let single = DatasetIndex::build_with_threshold(&d, usize::MAX);
+        let single = flat(&d);
         assert!(!single.is_sharded());
-        let sharded = DatasetIndex::build_with_threshold(&d, 1);
+        let sharded = sharded(&d);
         assert!(sharded.is_sharded());
         assert_eq!(single.num_workers(), sharded.num_workers());
         let spec = MarginalSpec::new(vec![WorkplaceAttr::Place], vec![WorkerAttr::Sex]);
@@ -819,5 +668,63 @@ mod tests {
         // Even a zero threshold keeps the flat index for one state.
         let idx = DatasetIndex::build_with_threshold(&d, 0);
         assert!(!idx.is_sharded());
+    }
+
+    #[test]
+    fn one_shard_plan_is_the_flat_shard_bounds() {
+        let d = dataset();
+        let index = TabulationIndex::build(&d);
+        for threads in [1, 2, 5, 64] {
+            let windows: Vec<(usize, usize)> = plan_tasks(&[&index], threads)
+                .iter()
+                .map(|t| (t.lo, t.hi))
+                .collect();
+            let bounds = index.shard_bounds(threads);
+            let expected: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
+            assert_eq!(windows, expected);
+        }
+    }
+
+    /// Every state shard gets at least one window, so a many-state index
+    /// has more tasks than a small thread cap; the grouping must still
+    /// run them on at most `threads` workers, each task exactly once.
+    #[test]
+    fn tasks_run_on_at_most_the_thread_cap() {
+        let d = Generator::new(GeneratorConfig {
+            states: 6,
+            ..GeneratorConfig::test_small(11)
+        })
+        .generate();
+        let DatasetIndex::Sharded(region) = sharded(&d) else {
+            panic!("test universe must shard");
+        };
+        let shards: Vec<&TabulationIndex> = region.shards.iter().map(|s| &s.index).collect();
+        let tasks = plan_tasks(&shards, 2);
+        assert!(tasks.len() > 2, "every shard gets a window");
+        let weights: Vec<usize> = tasks
+            .iter()
+            .map(|t| shards[t.shard].workers_between(t.lo, t.hi))
+            .collect();
+        for workers in 1..=tasks.len() + 2 {
+            let groups = assign_tasks(&weights, workers);
+            assert_eq!(groups.len(), workers.min(tasks.len()));
+            assert!(groups.iter().all(|g| !g.is_empty()));
+            // Contiguous cover of every task, in order.
+            assert_eq!(groups[0].start, 0);
+            assert_eq!(groups.last().unwrap().end, tasks.len());
+            assert!(groups.windows(2).all(|w| w[0].end == w[1].start));
+        }
+        // Weight balance: no group of two carries more than the heaviest
+        // task over an even split.
+        let total: usize = weights.iter().sum();
+        let heaviest = *weights.iter().max().unwrap();
+        for g in assign_tasks(&weights, 2) {
+            let w: usize = weights[g].iter().sum();
+            assert!(w <= total / 2 + heaviest, "group weight {w} of {total}");
+        }
+        // Degenerate inputs.
+        assert_eq!(assign_tasks(&[], 4), vec![0..0]);
+        assert_eq!(assign_tasks(&[5, 0, 7], 8), vec![0..1, 1..2, 2..3]);
+        assert_eq!(assign_tasks(&[5, 0, 7], 1), vec![0..3]);
     }
 }

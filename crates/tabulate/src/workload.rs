@@ -51,9 +51,9 @@ pub fn workload2() -> MarginalSpec {
 /// Worker filter for Ranking 2: female workers with a bachelor's degree or
 /// higher.
 ///
-/// This is the raw-closure form; release pipelines should prefer
-/// [`ranking2_expr`], whose identity is serializable and
-/// provenance-checkable. The closure survives as the reference the
+/// This is the raw-closure form; release pipelines use [`ranking2_expr`],
+/// whose identity is serializable and provenance-checkable. The closure
+/// survives as the predicate the `reference` evaluators and the
 /// equivalence tests compare the AST against.
 pub fn ranking2_filter(worker: &Worker) -> bool {
     worker.sex == Sex::Female && worker.education == Education::BachelorOrHigher
@@ -71,7 +71,9 @@ pub fn ranking2_expr() -> FilterExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{compute_marginal, compute_marginal_filtered};
+    use crate::engine::compute_marginal;
+    use crate::index::TabulationIndex;
+    use crate::region::DatasetIndex;
     use lodes::{Generator, GeneratorConfig};
 
     #[test]
@@ -92,7 +94,8 @@ mod tests {
         let w3 = compute_marginal(&d, &workload3());
         // Slice: sex = Female(1), education = BachelorOrHigher(3).
         let sliced = w3.slice_worker_attrs(&[(WorkerAttr::Sex, 1), (WorkerAttr::Education, 3)]);
-        let filtered = compute_marginal_filtered(&d, &workload1(), ranking2_filter);
+        let filtered =
+            DatasetIndex::build_auto(&d).marginal_expr_sharded(&workload1(), &ranking2_expr(), 1);
         // Both routes must agree cell-by-cell.
         assert_eq!(sliced.len(), filtered.num_cells());
         for (key, stats) in filtered.iter() {
@@ -103,11 +106,9 @@ mod tests {
     #[test]
     fn ranking2_expr_matches_ranking2_filter() {
         let d = Generator::new(GeneratorConfig::test_small(8)).generate();
-        let via_closure = compute_marginal_filtered(&d, &workload1(), ranking2_filter);
-        let via_expr = crate::engine::compute_marginal_expr(&d, &workload1(), &ranking2_expr());
-        assert_eq!(via_expr.num_cells(), via_closure.num_cells());
-        for ((ka, sa), (kb, sb)) in via_expr.iter().zip(via_closure.iter()) {
-            assert_eq!((ka, sa), (kb, sb));
+        let compiled = ranking2_expr().compile(&TabulationIndex::build(&d));
+        for worker in d.workers() {
+            assert_eq!(compiled.matches(worker), ranking2_filter(worker));
         }
         // Two separately constructed expressions share one identity.
         assert_eq!(ranking2_expr().id(), ranking2_expr().id());

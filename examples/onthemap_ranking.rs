@@ -94,7 +94,8 @@ fn main() {
                 .seed(11),
         )
         .expect("valid filtered request");
-    let filtered_truth = compute_marginal_expr(&dataset, &spec, &filter);
+    let filtered_truth =
+        DatasetIndex::build_auto(&dataset).marginal_expr_sharded(&spec, &filter, 1);
     let f_keys: Vec<CellKey> = filtered_truth.iter().map(|(k, _)| k).collect();
     let f_true: Vec<f64> = filtered_truth.iter().map(|(_, s)| s.count as f64).collect();
     let published = artifact.cells().expect("marginal payload");

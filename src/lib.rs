@@ -74,16 +74,12 @@ pub use tabulate;
 
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use eree_core::release::{release_marginal, release_marginal_filtered};
-    #[allow(deprecated)]
-    pub use eree_core::shape::release_shapes;
     pub use eree_core::{
         panel_quarter_seed, AgencyStore, ArtifactPayload, CountMechanism, EngineError,
         FamilySnapshot, FilterExpr, FilterId, FlowRelease, Ledger, MechanismKind, MetaLedger,
-        MetricsRegistry, MetricsSnapshot, PrivacyParams, PrivateRelease, ReleaseArtifact,
-        ReleaseConfig, ReleaseCost, ReleaseEngine, ReleaseRequest, RequestKind, SeasonReport,
-        SeasonStore, SeasonSummary, StoreError, TabulationCache, TabulationStats, TruthStore,
+        MetricsRegistry, MetricsSnapshot, PrivacyParams, ReleaseArtifact, ReleaseCost,
+        ReleaseEngine, ReleaseRequest, RequestKind, SeasonReport, SeasonStore, SeasonSummary,
+        StoreError, TabulationCache, TabulationStats, TruthStore,
     };
     pub use eree_service::{Client, ReleaseService, ReleaseSubmission, ServiceConfig};
     pub use lodes::{
@@ -91,9 +87,9 @@ pub mod prelude {
     };
     pub use sdl::{SdlConfig, SdlPublisher};
     pub use tabulate::{
-        compute_flows, compute_marginal, compute_marginal_expr, compute_marginal_filtered,
-        ranking2_expr, ranking2_filter, workload1, workload3, CellKey, FlowMarginal, FlowStats,
-        Marginal, MarginalSpec, TabulationIndex, WorkerAttr, WorkplaceAttr,
+        compute_flows, compute_marginal, ranking2_expr, ranking2_filter, workload1, workload3,
+        CellKey, DatasetIndex, FlowMarginal, FlowStats, Kernel, Marginal, MarginalSpec,
+        TabulationIndex, WorkerAttr, WorkplaceAttr,
     };
 }
 

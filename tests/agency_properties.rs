@@ -16,7 +16,6 @@ use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tabulate::compute_marginal_expr;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -202,11 +201,8 @@ proptest! {
             ),
         };
 
-        let index = TabulationIndex::build(&d);
-        let truth = match &filter {
-            Some(expr) => index.marginal_expr_sharded(&spec, expr, threads),
-            None => index.marginal_sharded(&spec, threads),
-        };
+        let index = DatasetIndex::build_auto(&d);
+        let truth = index.marginal(&spec, filter.as_ref(), threads, Kernel::Auto);
         let digest = eree_core::store::dataset_digest(&d);
         let store = TruthStore::open(&dir, digest).unwrap();
         store.save(&spec, filter.as_ref(), &truth).unwrap();
@@ -218,10 +214,7 @@ proptest! {
 
         // …and == an independent fresh tabulation (single-threaded, fresh
         // index), so persistence composes with the determinism guarantee.
-        let fresh = match &filter {
-            Some(expr) => compute_marginal_expr(&d, &spec, expr),
-            None => compute_marginal(&d, &spec),
-        };
+        let fresh = DatasetIndex::build_auto(&d).marginal(&spec, filter.as_ref(), 1, Kernel::Auto);
         prop_assert_eq!(&loaded, &fresh);
         fs::remove_dir_all(&dir).unwrap();
     }

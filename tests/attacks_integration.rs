@@ -267,7 +267,11 @@ fn zero_preservation_attack_channel_quantified() {
     // Ranking-2 slice integrity under the weak regime: slicing the sex x
     // education marginal agrees with a filtered tabulation.
     let sliced = truth.slice_worker_attrs(&[(WorkerAttr::Sex, 1), (WorkerAttr::Education, 3)]);
-    let filtered = compute_marginal_filtered(&s.dataset, &workload1(), ranking2_filter);
+    let filtered = DatasetIndex::build_auto(&s.dataset).marginal_expr_sharded(
+        &workload1(),
+        &ranking2_expr(),
+        1,
+    );
     for (key, stats) in filtered.iter() {
         assert_eq!(sliced.get(&key).copied(), Some(stats.count));
     }

@@ -91,49 +91,14 @@ fn filtered_release_is_weak_but_parallel() {
     // ...but cells still partition establishments: multiplier 1.
     assert_eq!(artifact.cost.multiplier, 1);
     // Filtered totals are a strict subset of employment.
-    let filtered_truth = compute_marginal_filtered(&d, &workload1(), ranking2_filter);
+    let filtered_truth =
+        DatasetIndex::build_auto(&d).marginal_expr_sharded(&workload1(), &ranking2_expr(), 1);
     assert!(filtered_truth.total() < compute_marginal(&d, &workload1()).total());
     assert_eq!(
         artifact.cells().unwrap().len(),
         filtered_truth.num_cells(),
         "engine tabulates the filtered population"
     );
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_still_work() {
-    // The legacy free functions survive as thin wrappers over the engine.
-    let d = dataset();
-    let release = release_marginal(
-        &d,
-        &workload1(),
-        &ReleaseConfig {
-            mechanism: MechanismKind::SmoothGamma,
-            budget: PrivacyParams::pure(0.1, 2.0),
-            seed: 5,
-        },
-    )
-    .unwrap();
-    assert_eq!(release.regime, NeighborKind::Strong);
-    assert_eq!(
-        release.published.len(),
-        compute_marginal(&d, &workload1()).num_cells()
-    );
-
-    let filtered = release_marginal_filtered(
-        &d,
-        &workload1(),
-        &ReleaseConfig {
-            mechanism: MechanismKind::SmoothGamma,
-            budget: PrivacyParams::pure(0.1, 2.0),
-            seed: 12,
-        },
-        ranking2_filter,
-    )
-    .unwrap();
-    assert_eq!(filtered.regime, NeighborKind::Weak);
-    assert_eq!(filtered.cost.multiplier, 1);
 }
 
 #[test]

@@ -7,6 +7,16 @@ use eree_core::mechanisms::{LogLaplaceMechanism, SmoothGammaMechanism, SmoothLap
 use eree_core::{CellQuery, CountMechanism};
 use proptest::prelude::*;
 
+/// The index-side equivalent of the brute-force closure `filter_kind`
+/// selects: `None` (everyone), female workers, or age group index ≥ 3.
+fn filter_expr(filter_kind: u8) -> Option<FilterExpr> {
+    match filter_kind {
+        0 => None,
+        1 => Some(FilterExpr::sex(lodes::Sex::Female)),
+        _ => Some(FilterExpr::WorkerCmp(WorkerAttr::Age, tabulate::Cmp::Ge, 3)),
+    }
+}
+
 /// Pointwise density-ratio check on a coarse grid (cheap enough for many
 /// proptest cases).
 fn ratio_bounded(mech: &dyn CountMechanism, q1: &CellQuery, q2: &CellQuery, epsilon: f64) -> bool {
@@ -200,7 +210,8 @@ proptest! {
 
         // Brute-force reference: per-worker loop into a
         // (cell values, establishment) -> count map, aggregated per cell.
-        let index = TabulationIndex::build(&d);
+        let index = DatasetIndex::build_with_threshold(&d, usize::MAX);
+        let expr = filter_expr(filter_kind);
         let schema = index.schema(&spec);
         let mut per_estab: BTreeMap<(u64, u32), u32> = BTreeMap::new();
         for w in d.workers() {
@@ -219,7 +230,7 @@ proptest! {
             cell.2 = cell.2.max(c);
         }
 
-        let m = index.marginal_filtered_sharded(&spec, filter, threads);
+        let m = index.marginal(&spec, expr.as_ref(), threads, Kernel::Auto);
         prop_assert_eq!(m.num_cells(), reference.len());
         for (key, stats) in m.iter() {
             let &(count, estabs, max) = reference.get(&key.0)
@@ -232,7 +243,7 @@ proptest! {
         // Worker-count-balanced shard boundaries (the skew-proof split)
         // are bit-identical to the contiguous single-chunk evaluation:
         // chunking strategy is a performance choice, never a semantic one.
-        let contiguous = index.marginal_filtered_sharded(&spec, filter, 1);
+        let contiguous = index.marginal(&spec, expr.as_ref(), 1, Kernel::Auto);
         prop_assert_eq!(&m, &contiguous);
         prop_assert_eq!(m.content_digest(), contiguous.content_digest());
     }
@@ -288,8 +299,9 @@ proptest! {
         // Brute-force reference: per-worker loop on each side into a
         // per-establishment (filtered) count, folded per cell with the
         // published FlowStats semantics.
-        let before = TabulationIndex::build(panel.quarter(0));
-        let after = TabulationIndex::build(panel.quarter(1));
+        let before = DatasetIndex::build_with_threshold(panel.quarter(0), usize::MAX);
+        let after = DatasetIndex::build_with_threshold(panel.quarter(1), usize::MAX);
+        let expr = filter_expr(filter_kind);
         let schema = before.schema(&spec);
         let side = |d: &Dataset| -> BTreeMap<u32, u32> {
             let mut counts = BTreeMap::new();
@@ -322,7 +334,7 @@ proptest! {
             cell.7 = cell.7.max(jd);
         }
 
-        let m = before.flows_filtered_sharded(&after, &spec, filter, threads);
+        let m = before.flows(&after, &spec, expr.as_ref(), threads, Kernel::Auto);
         prop_assert_eq!(m.num_cells(), reference.len());
         for (key, stats) in m.iter() {
             let &(b, e, jc, jd, mb, me, mc, md) = reference.get(&key.0)
@@ -340,7 +352,7 @@ proptest! {
         // Shard count is a performance choice, never a semantic one: the
         // tabulation — and therefore the released artifact drawn from it
         // under a fixed seed — is bit-identical at any thread count.
-        let contiguous = before.flows_filtered_sharded(&after, &spec, filter, 1);
+        let contiguous = before.flows(&after, &spec, expr.as_ref(), 1, Kernel::Auto);
         prop_assert_eq!(&m, &contiguous);
         prop_assert_eq!(m.content_digest(), contiguous.content_digest());
         let release = |truth: &FlowMarginal| {

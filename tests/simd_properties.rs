@@ -2,7 +2,8 @@
 //! filters, seeds, thread counts, and dataset sizes — including datasets
 //! smaller than one SIMD chunk, which exercise the scalar remainder path
 //! — the vectorized kernels must agree **bit-for-bit** with the scalar
-//! kernel, for marginals and flows alike.
+//! kernel, for marginals and flows alike, on both index representations
+//! (flat and region-sharded).
 //!
 //! With the `simd` feature off (or on non-AVX2 hardware) `Kernel::Auto`
 //! resolves to the scalar kernel and these properties hold trivially;
@@ -11,7 +12,16 @@
 use eree::prelude::*;
 use lodes::{DatasetPanel, PanelConfig};
 use proptest::prelude::*;
-use tabulate::{Cmp, FilterExpr, Kernel, TabulationIndex};
+use tabulate::{Cmp, FilterExpr, Kernel};
+
+/// Both index representations of `d`: flat, and region-sharded (which
+/// stays flat for a single-state universe).
+fn representations(d: &Dataset) -> [DatasetIndex; 2] {
+    [
+        DatasetIndex::build_with_threshold(d, usize::MAX),
+        DatasetIndex::build_with_threshold(d, 1),
+    ]
+}
 
 /// SplitMix64 step: derives spec/filter choices from one sampled seed
 /// (the vendored proptest has no recursive strategies).
@@ -133,19 +143,17 @@ proptest! {
         let mut state = seed;
         let spec = random_spec(&mut state);
         let d = Generator::new(config(next(&mut state), size_class)).generate();
-        let index = TabulationIndex::build(&d);
-
-        let scalar = index.marginal_sharded_with_kernel(&spec, threads, Kernel::Scalar);
-        let auto = index.marginal_sharded_with_kernel(&spec, threads, Kernel::Auto);
-        prop_assert_eq!(&scalar, &auto, "unfiltered marginal diverged");
-
         let expr = random_filter(&mut state);
-        let scalar_f =
-            index.marginal_expr_sharded_with_kernel(&spec, &expr, threads, Kernel::Scalar);
-        let auto_f =
-            index.marginal_expr_sharded_with_kernel(&spec, &expr, threads, Kernel::Auto);
-        prop_assert_eq!(&scalar_f, &auto_f, "filtered marginal diverged");
-        prop_assert!(scalar_f.total() <= scalar.total());
+        for index in representations(&d) {
+            let scalar = index.marginal(&spec, None, threads, Kernel::Scalar);
+            let auto = index.marginal(&spec, None, threads, Kernel::Auto);
+            prop_assert_eq!(&scalar, &auto, "unfiltered marginal diverged");
+
+            let scalar_f = index.marginal(&spec, Some(&expr), threads, Kernel::Scalar);
+            let auto_f = index.marginal(&spec, Some(&expr), threads, Kernel::Auto);
+            prop_assert_eq!(&scalar_f, &auto_f, "filtered marginal diverged");
+            prop_assert!(scalar_f.total() <= scalar.total());
+        }
     }
 
     #[test]
@@ -166,31 +174,20 @@ proptest! {
                 seed: next(&mut state),
             },
         );
-        let before = TabulationIndex::build(p.quarter(0));
-        let after = TabulationIndex::build(p.quarter(1));
-
-        let scalar = before.flows_sharded_with_kernel(&after, &spec, threads, Kernel::Scalar);
-        let auto = before.flows_sharded_with_kernel(&after, &spec, threads, Kernel::Auto);
-        prop_assert_eq!(&scalar, &auto, "unfiltered flows diverged");
-
-        // A worker-side threshold filter applies identically to both
-        // quarters, which is what the single-closure flow API expects.
+        // A worker-side threshold filter, applied to both quarters.
         let attr = WORKER_ATTRS[(next(&mut state) % 5) as usize];
         let cut = next(&mut state) as u32 % 6;
-        let scalar_f = before.flows_filtered_sharded_with_kernel(
-            &after,
-            &spec,
-            |w| attr.value(w) <= cut,
-            threads,
-            Kernel::Scalar,
-        );
-        let auto_f = before.flows_filtered_sharded_with_kernel(
-            &after,
-            &spec,
-            |w| attr.value(w) <= cut,
-            threads,
-            Kernel::Auto,
-        );
-        prop_assert_eq!(&scalar_f, &auto_f, "filtered flows diverged");
+        let expr = FilterExpr::WorkerCmp(attr, Cmp::Le, cut);
+        let [flat_b, sharded_b] = representations(p.quarter(0));
+        let [flat_a, sharded_a] = representations(p.quarter(1));
+        for (before, after) in [(flat_b, flat_a), (sharded_b, sharded_a)] {
+            let scalar = before.flows(&after, &spec, None, threads, Kernel::Scalar);
+            let auto = before.flows(&after, &spec, None, threads, Kernel::Auto);
+            prop_assert_eq!(&scalar, &auto, "unfiltered flows diverged");
+
+            let scalar_f = before.flows(&after, &spec, Some(&expr), threads, Kernel::Scalar);
+            let auto_f = before.flows(&after, &spec, Some(&expr), threads, Kernel::Auto);
+            prop_assert_eq!(&scalar_f, &auto_f, "filtered flows diverged");
+        }
     }
 }

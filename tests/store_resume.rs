@@ -386,28 +386,24 @@ fn resuming_with_a_changed_filter_digest_is_refused() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn pre_ast_closure_store_resumes_under_ast_plan() {
     // A store persisted before the AST existed recorded `filtered: true`
-    // with no expression — exactly what the deprecated closure escape
-    // hatch still records. Re-expressing the same plan with a FilterExpr
-    // must be accepted (the digest is unverifiable; the flag and every
-    // other field still are), because the alternative is stranding every
-    // pre-AST season.
+    // with no expression — as did the since-removed closure filters.
+    // Re-expressing the same plan with a FilterExpr must be accepted (the
+    // digest is unverifiable; the flag and every other field still are),
+    // because the alternative is stranding every pre-AST season. The
+    // legacy artifact is written as a fixture: the filtered release's
+    // provenance with its expression stripped.
     let d = dataset();
     let dir = test_dir("pre-ast");
-    let closure_plan: Vec<ReleaseRequest> = {
-        let mut plan = filtered_plan(ranking2_expr());
-        plan[1] = ReleaseRequest::marginal(workload1())
-            .mechanism(MechanismKind::LogLaplace)
-            .budget(PrivacyParams::pure(0.1, 1.0))
-            .filter(ranking2_filter)
-            .describe("F1: workload1 sub-population")
-            .seed(2);
-        plan
-    };
     let mut store = SeasonStore::create(&dir, budget()).unwrap();
-    store.run(&d, &closure_plan).unwrap();
+    store.run(&d, &filtered_plan(ranking2_expr())).unwrap();
+    let mut legacy = store.load_artifact(1).unwrap();
+    legacy.request.filter = None;
+    eree_core::store::write_json_atomic(&dir.join("artifacts").join("000001.json"), &legacy)
+        .unwrap();
+    drop(store);
+    let store = SeasonStore::open(&dir).unwrap();
     let stored = store.load_artifact(1).unwrap();
     assert!(stored.request.filtered && stored.request.filter.is_none());
     drop(store);
