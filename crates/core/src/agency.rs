@@ -851,11 +851,12 @@ impl AgencyStore {
     }
 
     /// Execute (or resume) season `name` against `dataset` under the
-    /// agency's shared truth store: verify the dataset pin (binding it on
-    /// the agency's first run), open the season, and drive
-    /// [`SeasonStore::run_panel_cached_with_digest`] with a cache backed by the persistent
-    /// [`TruthStore`] — so truths tabulated by *any* season of this agency
-    /// are reused, digest-verified, with zero recomputation.
+    /// agency's shared truth store: open the season, verify the dataset
+    /// pin (binding it on the agency's first run), and run the plan (one
+    /// [`SeasonStore::release`] per request not yet persisted) with a
+    /// cache backed by the persistent [`TruthStore`] — so truths
+    /// tabulated by *any* season of this agency are reused,
+    /// digest-verified, with zero recomputation.
     pub fn run_season(
         &mut self,
         name: &str,
@@ -869,31 +870,8 @@ impl AgencyStore {
                     .to_string(),
             });
         }
-        // Validate the season *before* touching the dataset pin: a failed
-        // call (typo'd name, corrupt season) must not durably bind the
-        // agency to whatever dataset it happened to be handed.
-        let mut season = self.open_season(name)?;
-        if season.is_closed() {
-            return Err(StoreError::SeasonClosed {
-                name: name.to_string(),
-            });
-        }
         let digest = dataset_digest(dataset);
-        self.bind_dataset(digest)?;
-        let truths = self.truth_store_pinned(digest)?;
-        let mut cache = TabulationCache::with_store(truths);
-        let result =
-            season.run_panel_cached_with_digest(None, dataset, digest, requests, &mut cache);
-        // Refresh the audit view even when the run aborted mid-plan: the
-        // season store reflects exactly what was durably persisted (and
-        // charged) before the refusal, and that spend is real.
-        self.upsert_summary(name, &season);
-        // Flush the counters the run accumulated. On the error path the
-        // original refusal outranks a metrics-flush failure.
-        match self.flush_metrics() {
-            Ok(()) => result,
-            Err(flush_error) => result.and(Err(flush_error)),
-        }
+        self.drive_season(name, digest, None, dataset, digest, requests)
     }
 
     /// Execute (or resume) season `name` as quarter `quarter` of `panel`
@@ -938,21 +916,7 @@ impl AgencyStore {
                 ),
             });
         }
-        // Season validity before the pin, exactly as in `run_season`.
-        let mut season = self.open_season(name)?;
-        if season.is_closed() {
-            return Err(StoreError::SeasonClosed {
-                name: name.to_string(),
-            });
-        }
         let quarter_digests: Vec<u64> = panel.snapshots().iter().map(dataset_digest).collect();
-        self.bind_dataset(panel_digest(&quarter_digests))?;
-        let digest = quarter_digests[quarter];
-        // The store handle is pinned to *this quarter*: level truths of
-        // different quarters have disjoint content addresses in the one
-        // shared directory, and flow truths are addressed by pair digest.
-        let truths = self.truth_store_pinned(digest)?;
-        let mut cache = TabulationCache::with_store(truths);
         let seeded: Vec<ReleaseRequest> = requests
             .iter()
             .map(|request| {
@@ -962,14 +926,54 @@ impl AgencyStore {
             .collect();
         let before =
             (quarter > 0).then(|| (panel.quarter(quarter - 1), quarter_digests[quarter - 1]));
-        let result = season.run_panel_cached_with_digest(
+        self.drive_season(
+            name,
+            panel_digest(&quarter_digests),
             before,
             panel.quarter(quarter),
-            digest,
+            quarter_digests[quarter],
             &seeded,
-            &mut cache,
-        );
+        )
+    }
+
+    /// The shared body of [`run_season`](Self::run_season) and
+    /// [`run_panel_season`](Self::run_panel_season): open season `name`,
+    /// refuse it if closed, bind the agency to `pin`, and run `requests`
+    /// over a cache backed by the truth store pinned to `digest` (the
+    /// season's own snapshot). The audit summary and the durable counters
+    /// are refreshed whatever the outcome.
+    fn drive_season(
+        &mut self,
+        name: &str,
+        pin: u64,
+        before: Option<(&Dataset, u64)>,
+        dataset: &Dataset,
+        digest: u64,
+        requests: &[ReleaseRequest],
+    ) -> Result<SeasonReport, StoreError> {
+        // Validate the season *before* touching the dataset pin: a failed
+        // call (typo'd name, corrupt season) must not durably bind the
+        // agency to whatever dataset it happened to be handed.
+        let mut season = self.open_season(name)?;
+        if season.is_closed() {
+            return Err(StoreError::SeasonClosed {
+                name: name.to_string(),
+            });
+        }
+        self.bind_dataset(pin)?;
+        // The store handle is pinned to the season's snapshot: level
+        // truths of different quarters have disjoint content addresses in
+        // the one shared directory, and flow truths are addressed by pair
+        // digest.
+        let mut cache = TabulationCache::with_store(self.truth_store_pinned(digest)?);
+        let result =
+            season.run_panel_cached_with_digest(before, dataset, digest, requests, &mut cache);
+        // Refresh the audit view even when the run aborted mid-plan: the
+        // season store reflects exactly what was durably persisted (and
+        // charged) before the refusal, and that spend is real.
         self.upsert_summary(name, &season);
+        // Flush the counters the run accumulated. On the error path the
+        // original refusal outranks a metrics-flush failure.
         match self.flush_metrics() {
             Ok(()) => result,
             Err(flush_error) => result.and(Err(flush_error)),

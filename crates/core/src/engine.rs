@@ -206,34 +206,6 @@ impl ReleaseRequest {
         Self::new(RequestKind::Flows, spec)
     }
 
-    /// Reconstruct the request a recorded [`RequestProvenance`] describes
-    /// — the resume path of drivers that hold only persisted artifacts
-    /// (e.g. a release service rebuilding a season's plan from its store).
-    /// The rebuilt request reproduces the stored provenance exactly, so it
-    /// passes the season store's resume verification.
-    ///
-    /// Returns `None` for pre-AST filtered provenance (`filtered` with no
-    /// recorded expression): the population is not reconstructible.
-    pub fn from_provenance(provenance: &RequestProvenance) -> Option<Self> {
-        if provenance.filtered && provenance.filter.is_none() {
-            return None;
-        }
-        let mut request = Self::new(provenance.kind, provenance.spec.clone())
-            .mechanism(provenance.mechanism)
-            .integerize(provenance.integerized)
-            .seed(provenance.seed)
-            .describe(provenance.description.clone());
-        request = if provenance.budget_is_per_cell {
-            request.budget_per_cell(provenance.budget)
-        } else {
-            request.budget(provenance.budget)
-        };
-        if let Some(expr) = &provenance.filter {
-            request = request.filter_expr(expr.clone());
-        }
-        Some(request)
-    }
-
     /// Which mechanism to sample from (required).
     pub fn mechanism(mut self, mechanism: MechanismKind) -> Self {
         self.mechanism = Some(mechanism);
@@ -696,8 +668,8 @@ enum TabulationSource {
 /// an earlier one, never re-tabulates. The store is pinned to one dataset
 /// digest, checked against the dataset on the **first tabulation through
 /// this cache** (one linear scan; a mismatch is refused loudly) and on
-/// every [`SeasonStore::run_panel_cached_with_digest`](crate::store::SeasonStore::run_panel_cached_with_digest)
-/// — the one-dataset-per-cache contract above still rests on the caller
+/// every [`SeasonStore::release`](crate::store::SeasonStore::release)
+/// step — the one-dataset-per-cache contract above still rests on the caller
 /// for later direct `execute_cached` calls.
 #[derive(Default)]
 pub struct TabulationCache {

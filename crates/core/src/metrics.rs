@@ -379,6 +379,10 @@ pub struct ServiceCounters {
     pub releases_enqueued: Counter,
     /// Releases a season worker finished executing (either outcome).
     pub releases_executed: Counter,
+    /// Best-effort service writes that failed (release registry, panel
+    /// season bindings, public-cache saves): each loses restart
+    /// visibility or a cache entry, never a release.
+    pub persist_failures: Counter,
 }
 
 /// The process-wide metrics registry for one agency: family counters,
@@ -454,6 +458,7 @@ impl MetricsRegistry {
                 releases_enqueued: enqueued,
                 releases_executed: executed,
                 queue_depth: enqueued.saturating_sub(executed),
+                persist_failures: self.service.persist_failures.get(),
                 season_queues: Vec::new(),
             },
             flushes: self.flushes.get(),
@@ -503,6 +508,9 @@ impl MetricsRegistry {
         self.service
             .releases_executed
             .set(snap.service.releases_executed);
+        self.service
+            .persist_failures
+            .set(snap.service.persist_failures);
         self.flushes.set(snap.flushes);
     }
 }
@@ -787,6 +795,12 @@ impl MetricsSnapshot {
             "Releases workers finished executing.",
             s.releases_executed,
         );
+        counter(
+            &mut out,
+            "eree_persist_failures",
+            "Best-effort service writes that failed.",
+            s.persist_failures,
+        );
         gauge(
             &mut out,
             "eree_queue_depth",
@@ -889,6 +903,8 @@ pub struct ServiceSnapshot {
     pub releases_executed: u64,
     /// Releases currently queued (enqueued − executed).
     pub queue_depth: u64,
+    /// Best-effort service writes that failed.
+    pub persist_failures: u64,
     /// Live per-season queue depths (empty outside a running service).
     pub season_queues: Vec<SeasonQueue>,
 }
@@ -998,6 +1014,7 @@ impl Deserialize for ServiceSnapshot {
             releases_enqueued: field_or(v, "releases_enqueued", 0)?,
             releases_executed: field_or(v, "releases_executed", 0)?,
             queue_depth: field_or(v, "queue_depth", 0)?,
+            persist_failures: field_or(v, "persist_failures", 0)?,
             season_queues: field_or(v, "season_queues", Vec::new())?,
         })
     }
@@ -1120,6 +1137,7 @@ mod tests {
         reg.service.http_2xx.add(9);
         reg.service.releases_enqueued.add(4);
         reg.service.releases_executed.add(3);
+        reg.service.persist_failures.inc();
         reg.flushes.add(2);
         reg
     }

@@ -31,20 +31,24 @@
 //! charged). Any other disagreement is refused as
 //! [`StoreError::Inconsistent`].
 //!
-//! # Resuming a season
+//! # Releasing, and resuming a season
+//!
+//! [`SeasonStore::release`] is the one write step: it checks the
+//! season's pins, executes one request on a [`ReleaseEngine`] opened on
+//! the season ledger, records the artifact, and returns it from memory.
+//! Every season write goes through it — the release service's season
+//! workers call it once per job.
 //!
 //! [`SeasonStore::run`] is the resumable driver: given the season's full
 //! request list, it verifies the already-persisted artifacts came from the
 //! same plan — request-by-request provenance comparison, with declarative
-//! filters checked by content digest (`FilterId`), so a plan whose
-//! sub-population definition changed is refused; artifacts persisted
-//! before the filter AST existed fall back to the legacy boolean-flag
-//! check — then executes
-//! only the remainder through a [`ReleaseEngine`] opened on the restored
-//! ledger, sharing tabulations via a [`TabulationCache`] — which also
-//! builds the dataset's columnar `DatasetIndex` exactly once per run,
-//! so a resumed season re-tabulates over the shared CSR index instead of
-//! from scratch. Because per-cell noise streams derive from
+//! filters compared structurally, so a plan whose sub-population
+//! definition changed is refused; artifacts persisted before the filter
+//! AST existed fall back to the legacy boolean-flag check — then releases
+//! only the remainder, sharing tabulations via a [`TabulationCache`] —
+//! which also builds the dataset's columnar `DatasetIndex` exactly once
+//! per run, so a resumed season re-tabulates over the shared CSR index
+//! instead of from scratch. Because per-cell noise streams derive from
 //! `(request seed, cell key)` and tabulation's sharded merge is
 //! order-insensitive, the artifacts a resumed run produces are
 //! bit-identical to an uninterrupted run's at any thread count.
@@ -85,7 +89,9 @@
 
 use crate::accountant::{Ledger, LedgerEntry};
 use crate::definitions::PrivacyParams;
-use crate::engine::{ReleaseArtifact, ReleaseEngine, ReleaseRequest, TabulationCache};
+use crate::engine::{
+    ReleaseArtifact, ReleaseEngine, ReleaseRequest, RequestKind, TabulationCache, TabulationStats,
+};
 use crate::error::EngineError;
 use crate::metrics::MetricsRegistry;
 use lodes::Dataset;
@@ -502,15 +508,16 @@ fn pid_is_alive(pid: u32) -> bool {
 }
 
 /// The season manifest: identifies the directory as a store, pins the
-/// budget the ledger must carry, and — once the first [`SeasonStore::run`]
-/// has seen the confidential database — pins the dataset fingerprint so a
-/// season can never silently resume against different data.
+/// budget the ledger must carry, and — once the first
+/// [`SeasonStore::release`] has seen the confidential database — pins
+/// the dataset fingerprint so a season can never silently resume against
+/// different data.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 struct SeasonManifest {
     format: u32,
     budget: PrivacyParams,
     /// [`dataset_digest`] of the season's database; `None` until the
-    /// first `run` binds it.
+    /// first release step binds it.
     dataset_digest: Option<u64>,
     /// Whether the season has been closed (sealed by
     /// [`AgencyStore::close_season`](crate::agency::AgencyStore::close_season)):
@@ -539,7 +546,9 @@ impl serde::Deserialize for SeasonManifest {
     }
 }
 
-/// What one [`SeasonStore::run`] call did.
+/// What one [`SeasonStore::run`] call did. The tabulation counts sum the
+/// [`TabulationStats`] of the run's [`release`](SeasonStore::release)
+/// steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeasonReport {
     /// Artifacts already persisted before this run (requests skipped).
@@ -581,8 +590,8 @@ impl CompletedRelease {
 }
 
 /// A durable publication season: ledger snapshot + artifact files under
-/// one directory. See the [module docs](self) for the layout and crash
-/// protocol.
+/// one directory, written only by [`release`](Self::release). See the
+/// [module docs](self) for the layout and crash protocol.
 #[derive(Debug)]
 pub struct SeasonStore {
     root: PathBuf,
@@ -812,7 +821,7 @@ impl SeasonStore {
     }
 
     /// The dataset fingerprint this season is pinned to (`None` until the
-    /// first [`run`](Self::run) binds one).
+    /// first [`release`](Self::release) binds one).
     pub fn dataset_digest(&self) -> Option<u64> {
         self.manifest.dataset_digest
     }
@@ -824,7 +833,8 @@ impl SeasonStore {
     }
 
     /// Seal the season: durably mark it closed, after which
-    /// [`record`](Self::record) and every `run` variant refuse with
+    /// [`record`](Self::record), [`release`](Self::release) and
+    /// [`run`](Self::run) refuse with
     /// [`StoreError::SeasonClosed`]. Idempotent. This is phase two of the
     /// agency's close-season protocol — callers must have durably frozen
     /// the refund (the meta-ledger's close-begin) *first*, so a crash
@@ -957,9 +967,9 @@ impl SeasonStore {
     /// under a different plan; and the season's first `run` binds a
     /// [`dataset_digest`] into the manifest, so it can never be silently
     /// resumed against a *different database* either. Remaining requests
-    /// then execute on a [`ReleaseEngine`] over the restored ledger,
-    /// sharing truth tabulations (and one columnar tabulation index of
-    /// the dataset) through a [`TabulationCache`].
+    /// then go through [`release`](Self::release) one by one, sharing
+    /// truth tabulations (and one columnar tabulation index of the
+    /// dataset) through a [`TabulationCache`].
     ///
     /// A refused request (over budget, invalid parameters) aborts the run
     /// with [`StoreError::Refused`] and records nothing for it: the season
@@ -981,27 +991,12 @@ impl SeasonStore {
 
     /// [`run`](Self::run) over a caller-owned [`TabulationCache`], with
     /// the dataset's digest already in hand, for a season that may publish
-    /// one quarter of a panel.
-    ///
-    /// * The cache: one backed by a persistent truth store
-    ///   (`TabulationCache::with_store`) lets a resumed season, or a
-    ///   sibling season sharing a `(spec, filter)`, reuse digest-verified
-    ///   truths from disk instead of re-tabulating. It must belong to this
-    ///   season's dataset.
-    /// * The digest: drivers that computed it for their own pins (the
-    ///   agency layer, the release service's per-season workers) pass it
-    ///   through so one run costs exactly one full-dataset scan. It must be
-    ///   [`dataset_digest`]`(dataset)`; handing a digest of different data
-    ///   voids every pin this store enforces.
-    /// * `before` supplies the previous quarter's snapshot (and its
-    ///   [`dataset_digest`]), which
-    ///   [`RequestKind::Flows`](crate::engine::RequestKind) requests
-    ///   tabulate against. Level requests see only `dataset` — the season
-    ///   stays pinned to its own quarter's digest; flow truths are
-    ///   content-addressed by the pair digest instead. A flow request in a
-    ///   plan run without a `before` snapshot (the base quarter, or a
-    ///   non-panel season) is refused as [`StoreError::Refused`] without
-    ///   recording or charging anything.
+    /// one quarter of a panel: the persisted prefix of `requests` is
+    /// verified once, then every remaining request is one
+    /// [`release`](Self::release) step. The arguments are
+    /// [`release`](Self::release)'s, with the whole plan in place of one
+    /// request; the pins are checked (and bound) even when nothing is left
+    /// to execute.
     pub fn run_panel_cached_with_digest(
         &mut self,
         before: Option<(&Dataset, u64)>,
@@ -1010,37 +1005,7 @@ impl SeasonStore {
         requests: &[ReleaseRequest],
         cache: &mut TabulationCache,
     ) -> Result<SeasonReport, StoreError> {
-        if self.manifest.closed {
-            return Err(StoreError::SeasonClosed {
-                name: self.season_name(),
-            });
-        }
-        // Re-check a store-backed cache against *this* dataset on every
-        // run — and hand the digest over, so the cache never pays for a
-        // second full-dataset scan of its own.
-        cache
-            .verify_dataset_digest(digest)
-            .map_err(|e| StoreError::Inconsistent {
-                detail: e.to_string(),
-            })?;
-        if let Some((_, before_digest)) = before {
-            cache.set_flow_pair_digest(dataset_pair_digest(before_digest, digest));
-        }
-        match self.manifest.dataset_digest {
-            Some(bound) if bound != digest => {
-                return Err(StoreError::Inconsistent {
-                    detail: format!(
-                        "season is bound to dataset {bound:016x} but was asked to run \
-                         against dataset {digest:016x} — refusing to mix databases"
-                    ),
-                });
-            }
-            Some(_) => {}
-            None => {
-                self.manifest.dataset_digest = Some(digest);
-                write_json_atomic(&self.root.join(MANIFEST_FILE), &self.manifest)?;
-            }
-        }
+        self.admit(before, digest, cache)?;
         if requests.len() < self.completed.len() {
             return Err(StoreError::Inconsistent {
                 detail: format!(
@@ -1068,29 +1033,13 @@ impl SeasonStore {
             }
         }
         let resumed_from = self.completed.len();
-        let mut engine = self.engine();
-        for (i, request) in requests.iter().enumerate().skip(resumed_from) {
-            let outcome = if request.kind() == crate::engine::RequestKind::Flows {
-                match before {
-                    Some((before_dataset, _)) => {
-                        engine.execute_flows_cached(before_dataset, dataset, request, cache)
-                    }
-                    None => Err(crate::error::EngineError::Flow {
-                        detail: "season has no before-quarter snapshot — flow requests \
-                                 need a panel season past its base quarter",
-                    }),
-                }
-            } else {
-                engine.execute_cached(dataset, request, cache)
-            };
-            let artifact = outcome.map_err(|e| StoreError::Refused {
-                index: i,
-                description: request.description(),
-                source: e,
-            })?;
-            self.record(engine.ledger(), &artifact)?;
+        let mut stats = TabulationStats::default();
+        for request in &requests[resumed_from..] {
+            let (_, step) = self.release(before, dataset, digest, request, cache)?;
+            stats.computed += step.computed;
+            stats.hits += step.hits;
+            stats.disk_hits += step.disk_hits;
         }
-        let stats = engine.tabulation_stats();
         Ok(SeasonReport {
             resumed_from,
             executed: requests.len() - resumed_from,
@@ -1098,6 +1047,96 @@ impl SeasonStore {
             tabulation_hits: stats.hits,
             tabulation_disk_hits: stats.disk_hits,
         })
+    }
+
+    /// Execute one request and record it — the season's one write step.
+    ///
+    /// After the pin checks, a fresh engine is opened on the season
+    /// ledger (so a failed [`record`](Self::record) can never leave a
+    /// charged engine ahead of the store), the request executes, it is
+    /// recorded artifact-first, and the artifact is returned from memory
+    /// with the step's [`TabulationStats`].
+    ///
+    /// * `cache` must belong to `dataset`. One backed by a persistent truth
+    ///   store (`TabulationCache::with_store`) reuses digest-verified
+    ///   truths from disk, across resumes and sibling seasons.
+    /// * `digest` must be [`dataset_digest`]`(dataset)`, computed once by
+    ///   the caller so no step rescans the dataset; a digest of different
+    ///   data voids every pin. The first step binds it into the manifest.
+    /// * `before` is the previous quarter's snapshot and digest, which
+    ///   [`RequestKind::Flows`] requests tabulate against (flow truths are
+    ///   addressed by the pair digest). Without it a flow request is
+    ///   refused.
+    ///
+    /// A closed season is refused with [`StoreError::SeasonClosed`], an
+    /// engine refusal with [`StoreError::Refused`] (indexed by the
+    /// release's position in the season); neither writes or charges.
+    pub fn release(
+        &mut self,
+        before: Option<(&Dataset, u64)>,
+        dataset: &Dataset,
+        digest: u64,
+        request: &ReleaseRequest,
+        cache: &mut TabulationCache,
+    ) -> Result<(ReleaseArtifact, TabulationStats), StoreError> {
+        self.admit(before, digest, cache)?;
+        let mut engine = self.engine();
+        let outcome = match (request.kind(), before) {
+            (RequestKind::Flows, Some((before_dataset, _))) => {
+                engine.execute_flows_cached(before_dataset, dataset, request, cache)
+            }
+            (RequestKind::Flows, None) => Err(EngineError::Flow {
+                detail: "season has no before-quarter snapshot — flow requests \
+                         need a panel season past its base quarter",
+            }),
+            _ => engine.execute_cached(dataset, request, cache),
+        };
+        let artifact = outcome.map_err(|source| StoreError::Refused {
+            index: self.completed.len(),
+            description: request.description(),
+            source,
+        })?;
+        self.record(engine.ledger(), &artifact)?;
+        Ok((artifact, engine.tabulation_stats()))
+    }
+
+    /// The checks every write step starts with: the season is open, a
+    /// store-backed cache is pinned to this dataset (handed the digest, so
+    /// it never pays for a scan of its own), and the dataset is the one
+    /// the season is pinned to — binding the pin on the season's first
+    /// step.
+    fn admit(
+        &mut self,
+        before: Option<(&Dataset, u64)>,
+        digest: u64,
+        cache: &mut TabulationCache,
+    ) -> Result<(), StoreError> {
+        if self.manifest.closed {
+            return Err(StoreError::SeasonClosed {
+                name: self.season_name(),
+            });
+        }
+        cache
+            .verify_dataset_digest(digest)
+            .map_err(|e| StoreError::Inconsistent {
+                detail: e.to_string(),
+            })?;
+        if let Some((_, before_digest)) = before {
+            cache.set_flow_pair_digest(dataset_pair_digest(before_digest, digest));
+        }
+        match self.manifest.dataset_digest {
+            Some(bound) if bound != digest => Err(StoreError::Inconsistent {
+                detail: format!(
+                    "season is bound to dataset {bound:016x} but was asked to run \
+                     against dataset {digest:016x} — refusing to mix databases"
+                ),
+            }),
+            Some(_) => Ok(()),
+            None => {
+                self.manifest.dataset_digest = Some(digest);
+                write_json_atomic(&self.root.join(MANIFEST_FILE), &self.manifest)
+            }
+        }
     }
 }
 
@@ -1174,11 +1213,12 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 /// every workplace's attributes, every worker's attributes, and the job
 /// edge list, folded in table order.
 ///
-/// [`SeasonStore::run`] binds this into the manifest on a season's first
-/// run and refuses any later run against a database that hashes
+/// [`SeasonStore::release`] binds this into the manifest on a season's
+/// first step and refuses any later step against a database that hashes
 /// differently — a resumed season's remaining releases must come from the
-/// same data as its persisted ones. One linear pass over the dataset per
-/// `run` call (cheap next to a single tabulation).
+/// same data as its persisted ones. One linear pass over the dataset
+/// (cheap next to a single tabulation); callers compute it once and pass
+/// it to every step.
 pub fn dataset_digest(dataset: &Dataset) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |word: u64| {
@@ -1508,6 +1548,135 @@ mod tests {
         assert_eq!(b1, a1);
         store.record(engine.ledger(), &b1).unwrap();
         assert_eq!(store.completed(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file under `dir`, by path, with its bytes.
+    fn dir_bytes(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = std::collections::BTreeMap::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                files.extend(dir_bytes(&path));
+            } else {
+                files.insert(path.clone(), fs::read(&path).unwrap());
+            }
+        }
+        files
+    }
+
+    #[test]
+    fn refused_release_leaves_the_store_byte_unchanged() {
+        let dir = tmp_dir("release-refused");
+        let dataset = Generator::new(GeneratorConfig::test_small(5)).generate();
+        let digest = dataset_digest(&dataset);
+        let mut store = SeasonStore::create(&dir, PrivacyParams::pure(0.1, 2.5)).unwrap();
+        let mut cache = TabulationCache::new();
+        store
+            .release(None, &dataset, digest, &request(1, 1.0), &mut cache)
+            .unwrap();
+        let before = dir_bytes(&dir);
+        // Over budget: refused at the season's next index, nothing written.
+        match store.release(None, &dataset, digest, &request(2, 2.0), &mut cache) {
+            Err(StoreError::Refused { index, .. }) => assert_eq!(index, 1),
+            other => panic!("expected Refused, got {other:?}"),
+        }
+        assert_eq!(dir_bytes(&dir), before);
+        assert_eq!(store.completed(), 1);
+        // The store did not move, so the next step simply succeeds.
+        let (artifact, stats) = store
+            .release(None, &dataset, digest, &request(3, 1.0), &mut cache)
+            .unwrap();
+        assert_eq!((stats.computed, stats.hits), (0, 1), "shared truth");
+        assert_eq!(store.completed(), 2);
+        assert_eq!(store.load_artifact(1).unwrap(), artifact);
+        drop(store);
+        assert_eq!(SeasonStore::open(&dir).unwrap().completed(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn release_on_a_sealed_season_is_refused() {
+        let dir = tmp_dir("release-sealed");
+        let dataset = Generator::new(GeneratorConfig::test_small(5)).generate();
+        let mut store = SeasonStore::create(&dir, PrivacyParams::pure(0.1, 4.0)).unwrap();
+        store.seal().unwrap();
+        assert!(matches!(
+            store.release(
+                None,
+                &dataset,
+                dataset_digest(&dataset),
+                &request(1, 1.0),
+                &mut TabulationCache::new()
+            ),
+            Err(StoreError::SeasonClosed { .. })
+        ));
+        assert_eq!(store.completed(), 0);
+        assert_eq!(store.dataset_digest(), None, "a refusal binds no pin");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn release_refuses_a_dataset_the_season_is_not_pinned_to() {
+        let dir = tmp_dir("release-digest");
+        let dataset = Generator::new(GeneratorConfig::test_small(5)).generate();
+        let other = Generator::new(GeneratorConfig::test_small(6)).generate();
+        let mut store = SeasonStore::create(&dir, PrivacyParams::pure(0.1, 4.0)).unwrap();
+        let digest = dataset_digest(&dataset);
+        store
+            .release(
+                None,
+                &dataset,
+                digest,
+                &request(1, 1.0),
+                &mut TabulationCache::new(),
+            )
+            .unwrap();
+        assert_eq!(store.dataset_digest(), Some(digest), "first step binds");
+        assert!(matches!(
+            store.release(
+                None,
+                &other,
+                dataset_digest(&other),
+                &request(2, 1.0),
+                &mut TabulationCache::new()
+            ),
+            Err(StoreError::Inconsistent { .. })
+        ));
+        assert_eq!(store.completed(), 1);
+        assert!((store.ledger().spent_epsilon() - 1.0).abs() < 1e-12);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flow_release_without_a_before_snapshot_is_refused_uncharged() {
+        let dir = tmp_dir("release-flows");
+        let dataset = Generator::new(GeneratorConfig::test_small(5)).generate();
+        let mut store = SeasonStore::create(&dir, PrivacyParams::pure(0.1, 4.0)).unwrap();
+        let flows = ReleaseRequest::flows(workload1())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(0.1, 1.0))
+            .seed(1);
+        match store.release(
+            None,
+            &dataset,
+            dataset_digest(&dataset),
+            &flows,
+            &mut TabulationCache::new(),
+        ) {
+            Err(StoreError::Refused {
+                index: 0,
+                source: EngineError::Flow { .. },
+                ..
+            }) => {}
+            other => panic!("expected a flow refusal, got {other:?}"),
+        }
+        assert_eq!(store.completed(), 0);
+        assert_eq!(store.ledger().spent_epsilon(), 0.0);
+        assert!(fs::read_dir(dir.join(ARTIFACTS_DIR))
+            .unwrap()
+            .next()
+            .is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -197,8 +197,11 @@ pub struct AuditView {
     pub cache_hits: u64,
     /// Artifacts currently in the public cache directory.
     pub cache_entries: u64,
-    /// Cumulative tabulation counters across every season worker:
-    /// `computed` full scans, in-memory `hits`, truth-store `disk_hits`.
+    /// Cumulative tabulation counters of the agency, read from its
+    /// metrics registry: `computed` full scans, in-memory `hits`,
+    /// truth-store `disk_hits`. These are the numbers `GET /metrics`
+    /// reports as `caches.truth_computed`, `caches.truth_memory_hits` and
+    /// `caches.truth_disk_hits`, so they survive worker retirement.
     pub tabulations: TabulationStats,
     /// The canonical structured snapshot (per-family admissions/denials,
     /// budget gauges, cache and service counters, latency histograms) —

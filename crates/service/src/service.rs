@@ -10,7 +10,7 @@
 //!                 └──────────────────────────┬────────────────────────┘
 //!                                            │ per-season mpsc queue
 //!                 ┌────────────────── season worker (owns the lease) ─┐
-//!                 │ plan += request → SeasonStore::run_panel_cached…  │
+//!                 │ SeasonStore::release: pins → fresh engine         │
 //!                 │   → ledger charge → artifact persisted            │
 //!                 │   → public cache save → registry: complete        │
 //!                 └───────────────────────────────────────────────────┘
@@ -207,12 +207,6 @@ struct QuartersFile {
     bindings: Vec<QuarterBinding>,
 }
 
-/// A season's live audit view, maintained by its worker.
-struct SeasonView {
-    summary: SeasonSummary,
-    stats: TabulationStats,
-}
-
 enum Job {
     Release { id: u64, request: ReleaseRequest },
     Shutdown,
@@ -221,7 +215,8 @@ enum Job {
 struct SeasonWorker {
     tx: mpsc::Sender<Job>,
     join: JoinHandle<()>,
-    view: Arc<Mutex<SeasonView>>,
+    /// The season's live audit summary, maintained by its worker.
+    view: Arc<Mutex<SeasonSummary>>,
     /// Jobs enqueued but not yet executed — the season's live queue
     /// depth, reported per season by `GET /metrics`.
     pending: Arc<AtomicU64>,
@@ -760,17 +755,12 @@ fn audit(shared: &Arc<Shared>) -> Response {
     let workers = shared.workers.lock().expect("workers lock poisoned");
     let retired = shared.retired.lock().expect("retired views poisoned");
     let mut seasons = Vec::new();
-    let mut stats = TabulationStats::default();
     for reservation in agency.meta_ledger().reservations() {
         match workers.get(&reservation.name) {
             // A live worker's view is fresher than the agency's (the
             // worker owns the season store; the agency read it at open).
             Some(worker) => {
-                let view = worker.view.lock().expect("season view poisoned");
-                seasons.push(view.summary.clone());
-                stats.computed += view.stats.computed;
-                stats.hits += view.stats.hits;
-                stats.disk_hits += view.stats.disk_hits;
+                seasons.push(worker.view.lock().expect("season view poisoned").clone());
             }
             // A retired worker left its final summary behind. The
             // meta-ledger stays authoritative for closure: a worker that
@@ -821,7 +811,11 @@ fn audit(shared: &Arc<Shared>) -> Response {
         releases,
         cache_hits: shared.cache_hits.load(Ordering::Relaxed),
         cache_entries: shared.cache.len() as u64,
-        tabulations: stats,
+        tabulations: TabulationStats {
+            computed: metrics.caches.truth_computed,
+            hits: metrics.caches.truth_memory_hits,
+            disk_hits: metrics.caches.truth_disk_hits,
+        },
         metrics,
     };
     json_ok(200, &view)
@@ -885,7 +879,8 @@ fn set_state(shared: &Shared, id: u64, state: ReleaseState) {
 
 /// Rewrite the persistent registry under the registry lock. Best-effort:
 /// a failed write loses only restart visibility, never a release (every
-/// admission is already durable in the season store and public cache).
+/// admission is already durable in the season store and public cache),
+/// and is counted in `persist_failures`.
 fn persist_registry(shared: &Shared, registry: &[ReleaseRecord]) {
     let file = RegistryFile {
         format: SERVICE_FORMAT_VERSION,
@@ -908,7 +903,7 @@ fn persist_registry(shared: &Shared, registry: &[ReleaseRecord]) {
             })
             .collect(),
     };
-    let _ = write_json_file(&shared.registry_path, &file);
+    persist(shared, &shared.registry_path, &file);
 }
 
 /// Rehydrate the release-id registry from `releases.json`: completed
@@ -954,7 +949,8 @@ fn load_registry(path: &Path, cache: &ReleaseCache) -> Vec<ReleaseRecord> {
         .collect()
 }
 
-/// Persist the season → quarter bindings under the quarter-map lock.
+/// Persist the season → quarter bindings under the quarter-map lock
+/// (best-effort, like [`persist_registry`]).
 fn persist_quarter_map(shared: &Shared, map: &BTreeMap<String, usize>) {
     let file = QuartersFile {
         format: SERVICE_FORMAT_VERSION,
@@ -966,7 +962,7 @@ fn persist_quarter_map(shared: &Shared, map: &BTreeMap<String, usize>) {
             })
             .collect(),
     };
-    let _ = write_json_file(&shared.quarters_path, &file);
+    persist(shared, &shared.quarters_path, &file);
 }
 
 /// Load the season → quarter bindings, refusing out-of-range quarters
@@ -1007,14 +1003,16 @@ fn load_quarter_map(path: &Path, quarters: usize) -> Result<BTreeMap<String, usi
 /// Durable JSON persistence for the service's own registries: the core
 /// store's fsynced write-temp-then-rename, whose temp naming the agency's
 /// open-time sweep recognizes — a crashed service leaves no stray temp
-/// files the next open cannot clean up.
-fn write_json_file<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), StoreError> {
-    eree_core::store::write_json_atomic(path, value)
+/// files the next open cannot clean up. A failed write is counted, not
+/// raised: these files only speed up or inform a restart.
+fn persist<T: serde::Serialize>(shared: &Shared, path: &Path, value: &T) {
+    if eree_core::store::write_json_atomic(path, value).is_err() {
+        shared.metrics.service.persist_failures.inc();
+    }
 }
 
-/// Open season `name` (claiming its write lease), rebuild its plan from
-/// persisted provenance, and start its worker thread. Called under the
-/// `agency` and `workers` locks.
+/// Open season `name` (claiming its write lease) and start its worker
+/// thread. Called under the `agency` and `workers` locks.
 fn spawn_worker(
     shared: &Arc<Shared>,
     agency: &AgencyStore,
@@ -1035,32 +1033,14 @@ fn spawn_worker(
             });
         }
     }
-    let mut plan = Vec::with_capacity(store.completed());
-    for release in store.releases() {
-        match ReleaseRequest::from_provenance(&release.request) {
-            Some(request) => plan.push(request),
-            None => {
-                return Err(StoreError::Inconsistent {
-                    detail: format!(
-                        "season `{name}` holds a closure-filtered release ({}) whose plan \
-                         cannot be reconstructed; it cannot be served",
-                        release.request.description
-                    ),
-                })
-            }
-        }
-    }
-    let view = Arc::new(Mutex::new(SeasonView {
-        summary: SeasonSummary {
-            name: name.to_string(),
-            budget: *store.ledger().budget(),
-            spent_epsilon: store.ledger().spent_epsilon(),
-            spent_delta: store.ledger().spent_delta(),
-            completed: store.completed(),
-            materialized: true,
-            closed: store.is_closed(),
-        },
-        stats: TabulationStats::default(),
+    let view = Arc::new(Mutex::new(SeasonSummary {
+        name: name.to_string(),
+        budget: *store.ledger().budget(),
+        spent_epsilon: store.ledger().spent_epsilon(),
+        spent_delta: store.ledger().spent_delta(),
+        completed: store.completed(),
+        materialized: true,
+        closed: store.is_closed(),
     }));
     // The worker replaces any retired-state summary for this season.
     shared
@@ -1078,7 +1058,6 @@ fn spawn_worker(
         name: name.to_string(),
         quarter,
         store,
-        plan,
         cache,
         view: Arc::clone(&view),
         pending: Arc::clone(&pending),
@@ -1093,99 +1072,74 @@ fn spawn_worker(
 }
 
 /// Everything one season worker owns: the [`SeasonStore`] (and with it
-/// the season's write lease), the replayed plan, and the tabulation
-/// cache shared with the quarter.
+/// the season's write lease) and the tabulation cache shared with the
+/// quarter.
 struct WorkerCtx {
     shared: Arc<Shared>,
     name: String,
     quarter: usize,
     store: SeasonStore,
-    plan: Vec<ReleaseRequest>,
     cache: TabulationCache,
-    view: Arc<Mutex<SeasonView>>,
+    view: Arc<Mutex<SeasonSummary>>,
     /// Shared with the [`SeasonWorker`] handle: enqueued-but-unexecuted
     /// jobs, decremented after each release resolves.
     pending: Arc<AtomicU64>,
 }
 
 impl WorkerCtx {
-    /// Execute one queued release and record the outcome.
+    /// Execute one queued release as one [`SeasonStore::release`] step,
+    /// publish it, and record the outcome. A refusal writes nothing, so
+    /// the next job starts from the same store.
     fn run_release(&mut self, id: u64, request: ReleaseRequest) {
-        self.plan.push(request);
         let quarter = &self.shared.quarters[self.quarter];
         let before = (self.quarter > 0).then(|| {
             let b = &self.shared.quarters[self.quarter - 1];
             (b.dataset.as_ref(), b.digest)
         });
-        let result = self.store.run_panel_cached_with_digest(
+        let result = self.store.release(
             before,
             &quarter.dataset,
             quarter.digest,
-            &self.plan,
+            &request,
             &mut self.cache,
         );
-        match result {
-            Ok(report) => {
-                match self.store.load_artifact(self.store.completed() - 1) {
-                    Ok(artifact) => {
-                        let artifact = Arc::new(artifact);
-                        // Publish to the released-artifact cache under
-                        // the digest that keys this release: the pair
-                        // digest for flows, the quarter's otherwise.
-                        // Every service release has a declarative
-                        // identity, so the key always exists; a
-                        // cache-write failure is only a lost
-                        // optimization, never a lost release.
-                        let digest = if artifact.request.kind == RequestKind::Flows {
-                            dataset_pair_digest(
-                                self.shared.quarters[self.quarter - 1].digest,
-                                quarter.digest,
-                            )
-                        } else {
-                            quarter.digest
-                        };
-                        if let Some(key) = ReleaseKey::of(&artifact.request, digest) {
-                            let _ = self.shared.cache.save(&key, &artifact);
-                        }
-                        set_state(
-                            &self.shared,
-                            id,
-                            ReleaseState::Complete {
-                                artifact,
-                                cached: false,
-                            },
-                        )
+        let state = match result {
+            Ok((artifact, _)) => {
+                // Publish to the released-artifact cache under the digest
+                // that keys this release: the pair digest for flows, the
+                // quarter's otherwise. Every service release has a
+                // declarative identity, so the key always exists; a
+                // cache-write failure is only a lost optimization, never a
+                // lost release.
+                let digest = match before {
+                    Some((_, before_digest)) if artifact.request.kind == RequestKind::Flows => {
+                        dataset_pair_digest(before_digest, quarter.digest)
                     }
-                    Err(e) => set_state(
-                        &self.shared,
-                        id,
-                        ReleaseState::Failed {
-                            error: format!("release persisted but failed to load back: {e}"),
-                        },
-                    ),
+                    _ => quarter.digest,
+                };
+                if let Some(key) = ReleaseKey::of(&artifact.request, digest) {
+                    if self.shared.cache.save(&key, &artifact).is_err() {
+                        self.shared.metrics.service.persist_failures.inc();
+                    }
                 }
-                let mut v = self.view.lock().expect("season view poisoned");
-                v.stats.computed += report.tabulations_computed;
-                v.stats.hits += report.tabulation_hits;
-                v.stats.disk_hits += report.tabulation_disk_hits;
+                ReleaseState::Complete {
+                    artifact: Arc::new(artifact),
+                    cached: false,
+                }
             }
-            Err(e) => {
-                // The refusal recorded nothing: keep the plan in lockstep
-                // with the store.
-                self.plan.pop();
-                set_state(
-                    &self.shared,
-                    id,
-                    ReleaseState::Failed {
-                        error: e.to_string(),
-                    },
-                );
-            }
+            Err(e) => ReleaseState::Failed {
+                error: e.to_string(),
+            },
+        };
+        // The summary moves before the release reads as resolved, so an
+        // audit taken after a completed poll already counts it.
+        {
+            let mut summary = self.view.lock().expect("season view poisoned");
+            summary.spent_epsilon = self.store.ledger().spent_epsilon();
+            summary.spent_delta = self.store.ledger().spent_delta();
+            summary.completed = self.store.completed();
         }
-        let mut v = self.view.lock().expect("season view poisoned");
-        v.summary.spent_epsilon = self.store.ledger().spent_epsilon();
-        v.summary.spent_delta = self.store.ledger().spent_delta();
-        v.summary.completed = self.store.completed();
+        set_state(&self.shared, id, state);
     }
 }
 
@@ -1220,12 +1174,7 @@ fn season_worker(mut ctx: WorkerCtx, rx: mpsc::Receiver<Job>) {
                             // lock, so no submission can race a respawn
                             // against a held lease — drop the season
                             // store, releasing the season's write lease.
-                            let summary = ctx
-                                .view
-                                .lock()
-                                .expect("season view poisoned")
-                                .summary
-                                .clone();
+                            let summary = ctx.view.lock().expect("season view poisoned").clone();
                             shared
                                 .retired
                                 .lock()

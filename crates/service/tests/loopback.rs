@@ -1,19 +1,21 @@
 //! Loopback integration test for the release service: concurrent tenants
 //! over one agency, cap enforcement end to end, the public cache's
-//! zero-ε repeat path, the agency write lease, and durable replay across
-//! a stop/start cycle.
+//! zero-ε repeat path, the agency write lease, durable replay across a
+//! stop/start cycle, served artifacts against the season store, seasons
+//! holding pre-AST artifacts, and counted best-effort write failures.
 
 use eree_core::agency::AgencyStore;
 use eree_core::definitions::PrivacyParams;
-use eree_core::engine::RequestKind;
+use eree_core::engine::{ReleaseRequest, RequestKind};
 use eree_core::mechanisms::MechanismKind;
+use eree_core::store::write_json_atomic;
 use eree_core::StoreError;
 use eree_service::{Client, ReleaseService, ReleaseSubmission, ServiceConfig};
 use lodes::{Dataset, Generator, GeneratorConfig};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
-use tabulate::{MarginalSpec, WorkerAttr, WorkplaceAttr};
+use tabulate::{ranking2_expr, MarginalSpec, WorkerAttr, WorkplaceAttr};
 
 const ALPHA: f64 = 0.1;
 const WAIT: Duration = Duration::from_secs(60);
@@ -196,8 +198,8 @@ fn concurrent_tenants_share_one_agency_under_the_cap() {
         .expect("repeat after restart");
     assert!(hit.cached, "the public cache is durable too");
 
-    // A season resumes: the worker rebuilds its plan from persisted
-    // provenance and appends release #4 on top of the replayed three.
+    // A season resumes: the respawned worker appends release #4 on top
+    // of the three its reopened season store verified.
     let fresh = client
         .submit("tenant-a", &submission(county_by_sector(), 0.2, 0xA9))
         .expect("new release after restart");
@@ -258,6 +260,115 @@ fn bad_requests_never_reach_the_ledger() {
 
     let audit = client.audit().expect("audit");
     assert_eq!(audit.spent_epsilon, 0.0, "nothing was ever charged");
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn served_artifacts_are_the_persisted_artifacts() {
+    let dir = tmp_dir("served-artifacts");
+    let cap = PrivacyParams::pure(ALPHA, 2.0);
+    let service =
+        ReleaseService::start(&dir, dataset(), ServiceConfig::new(cap)).expect("service starts");
+    let client = Client::new(service.addr());
+    client
+        .create_season("s", PrivacyParams::pure(ALPHA, 1.0))
+        .expect("season");
+    let mut served = Vec::new();
+    for (spec, seed) in [(county(), 1), (county_by_sector(), 2)] {
+        let receipt = client
+            .submit("s", &submission(spec, 0.25, seed))
+            .expect("submit");
+        let done = client.wait_for(receipt.id, WAIT).expect("release runs");
+        assert_eq!(done.status, "complete", "error: {:?}", done.error);
+        served.push(done.artifact.expect("completed releases carry artifacts"));
+    }
+    // A later identical submission is a cache hit serving the same bits.
+    let repeat = client
+        .submit("s", &submission(county(), 0.25, 1))
+        .expect("repeat");
+    assert!(repeat.cached);
+    let hit = client.release(repeat.id).expect("cache-hit view");
+    assert_eq!(hit.artifact.as_ref(), Some(&served[0]));
+    service.shutdown();
+
+    // What the worker served is exactly what the season store persisted.
+    let agency = AgencyStore::open(&dir).expect("agency reopens");
+    let season = agency.open_season("s").expect("season reopens");
+    assert_eq!(season.completed(), served.len());
+    for (i, artifact) in served.iter().enumerate() {
+        assert_eq!(&season.load_artifact(i).expect("persisted"), artifact);
+    }
+    drop((season, agency));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn seasons_holding_pre_ast_artifacts_are_served() {
+    let dir = tmp_dir("pre-ast");
+    let cap = PrivacyParams::pure(ALPHA, 2.0);
+    {
+        let mut agency = AgencyStore::create(&dir, cap).expect("agency");
+        drop(
+            agency
+                .create_season("legacy", PrivacyParams::pure(ALPHA, 1.0))
+                .expect("season"),
+        );
+        let filtered = ReleaseRequest::marginal(county())
+            .mechanism(MechanismKind::LogLaplace)
+            .budget(PrivacyParams::pure(ALPHA, 0.25))
+            .filter_expr(ranking2_expr())
+            .seed(1);
+        agency
+            .run_season("legacy", &dataset(), &[filtered])
+            .expect("filtered release");
+        // Rewrite the artifact as a store from before the filter AST
+        // holds it: flagged filtered, with no expression.
+        let season = agency.open_season("legacy").expect("season");
+        let mut legacy = season.load_artifact(0).expect("artifact");
+        drop(season);
+        legacy.request.filter = None;
+        let path = dir.join("seasons/legacy/artifacts/000000.json");
+        write_json_atomic(&path, &legacy).expect("legacy fixture");
+    }
+
+    let service =
+        ReleaseService::start(&dir, dataset(), ServiceConfig::new(cap)).expect("service starts");
+    let client = Client::new(service.addr());
+    let receipt = client
+        .submit("legacy", &submission(county(), 0.25, 2))
+        .expect("a legacy season accepts submissions");
+    let done = client.wait_for(receipt.id, WAIT).expect("release runs");
+    assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    let audit = client.audit().expect("audit");
+    assert_eq!(audit.seasons[0].completed, 2);
+    assert!((audit.seasons[0].spent_epsilon - 0.5).abs() < 1e-9);
+    assert!(audit.spent_epsilon <= cap.epsilon + 1e-9);
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_registry_writes_are_counted_and_releases_still_complete() {
+    let dir = tmp_dir("persist-failures");
+    // A directory where the registry file belongs: every rewrite fails.
+    fs::create_dir_all(dir.join("releases.json")).expect("blocker");
+    let cap = PrivacyParams::pure(ALPHA, 2.0);
+    let service =
+        ReleaseService::start(&dir, dataset(), ServiceConfig::new(cap)).expect("service starts");
+    let client = Client::new(service.addr());
+    client
+        .create_season("s", PrivacyParams::pure(ALPHA, 1.0))
+        .expect("season");
+    let receipt = client
+        .submit("s", &submission(county(), 0.25, 1))
+        .expect("submit");
+    let done = client.wait_for(receipt.id, WAIT).expect("release runs");
+    assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    let failures = client.metrics().expect("metrics").service.persist_failures;
+    assert!(failures > 0, "registry write failures went uncounted");
+    let text = client.metrics_text().expect("openmetrics");
+    assert!(text.contains(&format!("eree_persist_failures_total {failures}\n")));
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

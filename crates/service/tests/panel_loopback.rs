@@ -241,6 +241,12 @@ fn idle_season_workers_retire_and_release_their_leases() {
     let season = &audit.seasons[0];
     assert_eq!(season.completed, 1);
     assert!((season.spent_epsilon - 0.25).abs() < 1e-9);
+    // Tabulation counts outlive the worker that did the work.
+    assert!(
+        audit.tabulations.computed >= 1,
+        "retirement lost the tabulation count: {:?}",
+        audit.tabulations
+    );
 
     // The registry still serves the completed release.
     let view = client.release(receipt.id).expect("status after retirement");
