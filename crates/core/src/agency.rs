@@ -122,7 +122,7 @@ use crate::store::{
 };
 use crate::truths::TruthStore;
 use lodes::{Dataset, DatasetPanel};
-use serde::{get_field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -164,37 +164,22 @@ const FAMILY_KINDS: [RequestKind; 3] = [
 /// confidential data — pins its fingerprint: the [`dataset_digest`] of
 /// the one snapshot for a single-snapshot agency, the [`panel_digest`]
 /// over every quarter for a panel agency.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct AgencyManifest {
     format: u32,
     cap: PrivacyParams,
     dataset_digest: Option<u64>,
     /// Whether the agency governs a quarterly panel (per-quarter seasons
     /// pin their own quarter digests; the agency pins the panel digest).
+    /// Absent from manifests older than panel agencies.
+    #[serde(default)]
     panel: bool,
-}
-
-impl Deserialize for AgencyManifest {
-    /// Hand-written for compatibility: `panel` postdates the first agency
-    /// stores, so a manifest without the field reads as a single-snapshot
-    /// agency rather than refusing to open.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            format: u32::from_value(get_field(v, "format")?)?,
-            cap: PrivacyParams::from_value(get_field(v, "cap")?)?,
-            dataset_digest: Option::<u64>::from_value(get_field(v, "dataset_digest")?)?,
-            panel: match get_field(v, "panel") {
-                Ok(value) => bool::from_value(value)?,
-                Err(_) => false,
-            },
-        })
-    }
 }
 
 /// The audit view of one governed season, refreshed on
 /// [`AgencyStore::open`] and after every [`AgencyStore::run_season`].
 /// Serializable so budget-audit endpoints can publish it as-is.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeasonSummary {
     /// The season's name (its directory name under `seasons/`).
     pub name: String,
@@ -211,27 +196,10 @@ pub struct SeasonSummary {
     /// creation; the budget is held either way.
     pub materialized: bool,
     /// Whether the season has been closed: its unspent remainder was
-    /// refunded to the cap and no further release is admitted.
+    /// refunded to the cap and no further release is admitted. Absent
+    /// (open) in summaries older than season closure.
+    #[serde(default)]
     pub closed: bool,
-}
-
-impl Deserialize for SeasonSummary {
-    /// Hand-written for wire compatibility: `closed` postdates the first
-    /// audit payloads, so a summary without the field reads as open.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            name: String::from_value(get_field(v, "name")?)?,
-            budget: PrivacyParams::from_value(get_field(v, "budget")?)?,
-            spent_epsilon: f64::from_value(get_field(v, "spent_epsilon")?)?,
-            spent_delta: f64::from_value(get_field(v, "spent_delta")?)?,
-            completed: usize::from_value(get_field(v, "completed")?)?,
-            materialized: bool::from_value(get_field(v, "materialized")?)?,
-            closed: match get_field(v, "closed") {
-                Ok(value) => bool::from_value(value)?,
-                Err(_) => false,
-            },
-        })
-    }
 }
 
 /// What [`AgencyStore::close_season`] accomplished: the refund credited
@@ -1124,12 +1092,13 @@ impl AgencyStore {
             .set(self.meta.refunded_epsilon());
     }
 
-    /// Durably persist the cumulative counters to [`METRICS_FILE`]
+    /// Durably persist the cumulative counters to `metrics.json`
     /// through the chaos-counted atomic write path. Called at
-    /// season-commit points (create / open / run / close); the flush
-    /// counter increments first so the written snapshot accounts for its
-    /// own flush.
-    fn flush_metrics(&self) -> Result<(), StoreError> {
+    /// season-commit points (create / open / run / close), and by a
+    /// service that writes seasons directly on its graceful shutdown; the
+    /// flush counter increments first so the written snapshot accounts
+    /// for its own flush.
+    pub fn flush_metrics(&self) -> Result<(), StoreError> {
         self.refresh_budget_gauges();
         self.metrics.flushes.inc();
         write_json_atomic(&self.root.join(METRICS_FILE), &self.metrics.snapshot())
@@ -1633,5 +1602,36 @@ mod tests {
             Err(StoreError::Inconsistent { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_without_panel_reads_single_snapshot() {
+        let json =
+            r#"{"format":1,"cap":{"alpha":0.1,"epsilon":2.0,"delta":0.0},"dataset_digest":7}"#;
+        let manifest: AgencyManifest = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            manifest,
+            AgencyManifest {
+                format: 1,
+                cap: PrivacyParams::pure(0.1, 2.0),
+                dataset_digest: Some(7),
+                panel: false,
+            }
+        );
+        let panel: AgencyManifest =
+            serde_json::from_str(&json.replace("7}", r#"null,"panel":true}"#)).unwrap();
+        assert_eq!(panel.dataset_digest, None);
+        assert!(panel.panel);
+        // An explicit `null` reads as absent. (The program never writes
+        // one; manifests with it were refused before `#[serde(default)]`.)
+        let nulled: AgencyManifest =
+            serde_json::from_str(&json.replace("7}", r#"7,"panel":null}"#)).unwrap();
+        assert!(!nulled.panel);
+        // `dataset_digest` stays required: null means unbound, absent is
+        // not a manifest.
+        assert!(serde_json::from_str::<AgencyManifest>(
+            r#"{"format":1,"cap":{"alpha":0.1,"epsilon":2.0,"delta":0.0}}"#
+        )
+        .is_err());
     }
 }

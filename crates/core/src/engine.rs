@@ -101,9 +101,10 @@ use tabulate::{
 };
 
 /// What kind of release a request describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestKind {
-    /// Release every nonzero cell of a marginal.
+    /// Release every nonzero cell of a marginal (the default kind).
+    #[default]
     Marginal,
     /// Release the workforce shape of every workplace cell.
     Shapes,
@@ -392,12 +393,7 @@ pub struct ReleasePlan {
 }
 
 /// Immutable record of what was asked for, embedded in every artifact.
-///
-/// Serde is hand-written (not derived) for one reason: artifacts
-/// persisted before the filter AST existed carry no `filter` field, and
-/// they must keep deserializing — a missing field reads as `None`, the
-/// exact provenance those artifacts recorded.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestProvenance {
     /// Marginal or shapes.
     pub kind: RequestKind,
@@ -418,6 +414,8 @@ pub struct RequestProvenance {
     /// request used [`ReleaseRequest::filter_expr`]. `None` for
     /// unfiltered requests and for filtered artifacts persisted before
     /// the AST existed (whose only trace is [`filtered`](Self::filtered)).
+    /// Those artifacts carry no `filter` field, which reads as `None`.
+    #[serde(default)]
     pub filter: Option<FilterExpr>,
     /// Whether outputs were rounded to non-negative integers.
     pub integerized: bool,
@@ -430,51 +428,6 @@ impl RequestProvenance {
     /// recorded. Season resume verification compares these digests.
     pub fn filter_id(&self) -> Option<FilterId> {
         self.filter.as_ref().map(FilterExpr::id)
-    }
-}
-
-impl Serialize for RequestProvenance {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("kind".to_string(), self.kind.to_value()),
-            ("spec".to_string(), self.spec.to_value()),
-            ("mechanism".to_string(), self.mechanism.to_value()),
-            ("budget".to_string(), self.budget.to_value()),
-            (
-                "budget_is_per_cell".to_string(),
-                self.budget_is_per_cell.to_value(),
-            ),
-            ("seed".to_string(), self.seed.to_value()),
-            ("filtered".to_string(), self.filtered.to_value()),
-            ("filter".to_string(), self.filter.to_value()),
-            ("integerized".to_string(), self.integerized.to_value()),
-            ("description".to_string(), self.description.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RequestProvenance {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            kind: Deserialize::from_value(serde::get_field(v, "kind")?)?,
-            spec: Deserialize::from_value(serde::get_field(v, "spec")?)?,
-            mechanism: Deserialize::from_value(serde::get_field(v, "mechanism")?)?,
-            budget: Deserialize::from_value(serde::get_field(v, "budget")?)?,
-            budget_is_per_cell: Deserialize::from_value(serde::get_field(
-                v,
-                "budget_is_per_cell",
-            )?)?,
-            seed: Deserialize::from_value(serde::get_field(v, "seed")?)?,
-            filtered: Deserialize::from_value(serde::get_field(v, "filtered")?)?,
-            // Absent in pre-AST artifacts: default to "no expression
-            // recorded" rather than refusing the whole store.
-            filter: match v.get("filter") {
-                Some(value) => Deserialize::from_value(value)?,
-                None => None,
-            },
-            integerized: Deserialize::from_value(serde::get_field(v, "integerized")?)?,
-            description: Deserialize::from_value(serde::get_field(v, "description")?)?,
-        })
     }
 }
 

@@ -51,7 +51,7 @@
 
 use crate::accountant::LedgerError;
 use crate::engine::RequestKind;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format tag of the serialized [`MetricsSnapshot`].
@@ -521,7 +521,12 @@ impl MetricsRegistry {
 
 /// The canonical serializable metrics snapshot: the one shape behind
 /// `GET /metrics`, the durable `metrics.json`, and `AuditView.metrics`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Every snapshot type reads a missing or `null` field as its default
+/// (`#[serde(default)]`), so a `metrics.json` written with an older
+/// counter vocabulary restores what it names.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct MetricsSnapshot {
     /// Snapshot format tag ([`SNAPSHOT_FORMAT`]).
     pub format: u32,
@@ -830,7 +835,8 @@ impl MetricsSnapshot {
 }
 
 /// One release family's counters inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FamilySnapshot {
     /// Family label (an entry of [`FAMILY_LABELS`]).
     pub family: String,
@@ -857,7 +863,8 @@ impl FamilySnapshot {
 }
 
 /// A denial count under one reason slug.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ReasonCount {
     /// The reason slug (an entry of [`DENY_REASONS`]).
     pub reason: String,
@@ -866,7 +873,8 @@ pub struct ReasonCount {
 }
 
 /// Serializable cache-effectiveness counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct CacheSnapshot {
     /// Tabulations served from the in-memory cache.
     pub truth_memory_hits: u64,
@@ -885,7 +893,8 @@ pub struct CacheSnapshot {
 }
 
 /// Serializable service-layer counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ServiceSnapshot {
     /// Responses with a 2xx status.
     pub http_2xx: u64,
@@ -910,7 +919,8 @@ pub struct ServiceSnapshot {
 }
 
 /// One live season worker's queue depth.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct SeasonQueue {
     /// The season name.
     pub season: String,
@@ -920,7 +930,8 @@ pub struct SeasonQueue {
 
 /// A serializable latency histogram: per-bucket counts aligned with
 /// `le_micros` bounds, plus one trailing overflow bucket.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct LatencySnapshot {
     /// Total observations.
     pub count: u64,
@@ -930,114 +941,6 @@ pub struct LatencySnapshot {
     pub le_micros: Vec<u64>,
     /// Per-bucket counts: one per bound, plus a trailing overflow slot.
     pub counts: Vec<u64>,
-}
-
-// ---------------------------------------------------------------------------
-// Lenient deserialization (back-compat)
-// ---------------------------------------------------------------------------
-//
-// Every snapshot type deserializes leniently: a missing or null field
-// reads as its default. This is what lets (a) pre-metrics audit JSON
-// (`AuditView` without a `metrics` field) keep deserializing, and (b) a
-// `metrics.json` written by an older vocabulary restore what it can.
-
-fn field_or<T: Deserialize>(v: &Value, name: &str, default: T) -> Result<T, DeError> {
-    match v.get(name) {
-        None | Some(Value::Null) => Ok(default),
-        Some(value) => T::from_value(value),
-    }
-}
-
-impl Deserialize for MetricsSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            format: field_or(v, "format", SNAPSHOT_FORMAT)?,
-            epsilon_cap: field_or(v, "epsilon_cap", 0.0)?,
-            epsilon_reserved: field_or(v, "epsilon_reserved", 0.0)?,
-            epsilon_spent: field_or(v, "epsilon_spent", 0.0)?,
-            epsilon_remaining: field_or(v, "epsilon_remaining", 0.0)?,
-            epsilon_refunded: field_or(v, "epsilon_refunded", 0.0)?,
-            families: field_or(v, "families", Self::default().families)?,
-            caches: field_or(v, "caches", CacheSnapshot::default())?,
-            service: field_or(v, "service", ServiceSnapshot::default())?,
-            flushes: field_or(v, "flushes", 0)?,
-        })
-    }
-}
-
-impl Deserialize for FamilySnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            family: field_or(v, "family", String::new())?,
-            accepted_total: field_or(v, "accepted_total", 0)?,
-            denied_total: field_or(v, "denied_total", 0)?,
-            denied_by_reason: field_or(v, "denied_by_reason", Vec::new())?,
-            epsilon_spent: field_or(v, "epsilon_spent", 0.0)?,
-            delta_spent: field_or(v, "delta_spent", 0.0)?,
-            epsilon_remaining: field_or(v, "epsilon_remaining", 0.0)?,
-            latency: field_or(v, "latency", LatencySnapshot::default())?,
-        })
-    }
-}
-
-impl Deserialize for ReasonCount {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            reason: field_or(v, "reason", String::new())?,
-            denied: field_or(v, "denied", 0)?,
-        })
-    }
-}
-
-impl Deserialize for CacheSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            truth_memory_hits: field_or(v, "truth_memory_hits", 0)?,
-            truth_disk_hits: field_or(v, "truth_disk_hits", 0)?,
-            truth_computed: field_or(v, "truth_computed", 0)?,
-            truth_self_heals: field_or(v, "truth_self_heals", 0)?,
-            public_hits: field_or(v, "public_hits", 0)?,
-            public_misses: field_or(v, "public_misses", 0)?,
-            public_self_heals: field_or(v, "public_self_heals", 0)?,
-        })
-    }
-}
-
-impl Deserialize for ServiceSnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            http_2xx: field_or(v, "http_2xx", 0)?,
-            http_4xx: field_or(v, "http_4xx", 0)?,
-            http_5xx: field_or(v, "http_5xx", 0)?,
-            worker_spawns: field_or(v, "worker_spawns", 0)?,
-            worker_retirements: field_or(v, "worker_retirements", 0)?,
-            releases_enqueued: field_or(v, "releases_enqueued", 0)?,
-            releases_executed: field_or(v, "releases_executed", 0)?,
-            queue_depth: field_or(v, "queue_depth", 0)?,
-            persist_failures: field_or(v, "persist_failures", 0)?,
-            season_queues: field_or(v, "season_queues", Vec::new())?,
-        })
-    }
-}
-
-impl Deserialize for SeasonQueue {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            season: field_or(v, "season", String::new())?,
-            depth: field_or(v, "depth", 0)?,
-        })
-    }
-}
-
-impl Deserialize for LatencySnapshot {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            count: field_or(v, "count", 0)?,
-            sum_micros: field_or(v, "sum_micros", 0)?,
-            le_micros: field_or(v, "le_micros", Vec::new())?,
-            counts: field_or(v, "counts", Vec::new())?,
-        })
-    }
 }
 
 #[cfg(test)]

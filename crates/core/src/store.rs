@@ -512,38 +512,20 @@ fn pid_is_alive(pid: u32) -> bool {
 /// [`SeasonStore::release`] has seen the confidential database — pins
 /// the dataset fingerprint so a season can never silently resume against
 /// different data.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SeasonManifest {
     format: u32,
     budget: PrivacyParams,
     /// [`dataset_digest`] of the season's database; `None` until the
     /// first release step binds it.
+    #[serde(default)]
     dataset_digest: Option<u64>,
     /// Whether the season has been closed (sealed by
     /// [`AgencyStore::close_season`](crate::agency::AgencyStore::close_season)):
     /// its unspent budget was refunded to the agency cap, so no further
-    /// charge may ever be recorded.
+    /// charge may ever be recorded. Absent (open) in older manifests.
+    #[serde(default)]
     closed: bool,
-}
-
-impl serde::Deserialize for SeasonManifest {
-    /// Hand-written so manifests from before the close-season protocol
-    /// (no `closed` field) keep deserializing: a season that predates
-    /// closure is by definition not closed.
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            format: u32::from_value(serde::get_field(v, "format")?)?,
-            budget: PrivacyParams::from_value(serde::get_field(v, "budget")?)?,
-            dataset_digest: match v.get("dataset_digest") {
-                None | Some(serde::Value::Null) => None,
-                Some(value) => Some(u64::from_value(value)?),
-            },
-            closed: match v.get("closed") {
-                None | Some(serde::Value::Null) => false,
-                Some(value) => bool::from_value(value)?,
-            },
-        })
-    }
 }
 
 /// What one [`SeasonStore::run`] call did. The tabulation counts sum the
@@ -1678,5 +1660,32 @@ mod tests {
             .next()
             .is_none());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_without_closed_or_digest_reads_open_and_unbound() {
+        let budget = r#""budget":{"alpha":0.1,"epsilon":1.0,"delta":0.0}"#;
+        let expected = SeasonManifest {
+            format: FORMAT_VERSION,
+            budget: PrivacyParams::pure(0.1, 1.0),
+            dataset_digest: None,
+            closed: false,
+        };
+        for json in [
+            format!(r#"{{"format":{FORMAT_VERSION},{budget}}}"#),
+            format!(
+                r#"{{"format":{FORMAT_VERSION},{budget},"dataset_digest":null,"closed":null}}"#
+            ),
+        ] {
+            let manifest: SeasonManifest = serde_json::from_str(&json).unwrap();
+            assert_eq!(manifest, expected, "{json}");
+        }
+        let bound: SeasonManifest = serde_json::from_str(&format!(
+            r#"{{"format":{FORMAT_VERSION},{budget},"dataset_digest":9,"closed":true}}"#
+        ))
+        .unwrap();
+        assert_eq!(bound.dataset_digest, Some(9));
+        assert!(bound.closed);
+        assert!(serde_json::from_str::<SeasonManifest>(&format!("{{{budget}}}")).is_err());
     }
 }

@@ -13,12 +13,12 @@ use eree_core::engine::{ReleaseArtifact, ReleaseRequest, RequestKind, Tabulation
 use eree_core::mechanisms::MechanismKind;
 use eree_core::metrics::MetricsSnapshot;
 use eree_core::SeasonSummary;
-use serde::{DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use tabulate::{FilterExpr, MarginalSpec};
 
 /// `POST /seasons` request body: create a season, reserving its whole
 /// budget from the agency cap before it exists.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SeasonCreate {
     /// Season name (1–64 ASCII alphanumerics, `-`, `_`, `.`).
     pub name: String,
@@ -27,22 +27,8 @@ pub struct SeasonCreate {
     /// Quarterly-panel services only: which quarter of the panel this
     /// season releases (required there, refused on single-snapshot
     /// services).
+    #[serde(default)]
     pub quarter: Option<u64>,
-}
-
-impl Deserialize for SeasonCreate {
-    /// Hand-written so `quarter` stays optional on the wire: the
-    /// single-snapshot body `{name, budget}` keeps deserializing.
-    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
-        Ok(Self {
-            name: Deserialize::from_value(serde::get_field(v, "name")?)?,
-            budget: Deserialize::from_value(serde::get_field(v, "budget")?)?,
-            quarter: match v.get("quarter") {
-                None | Some(serde::Value::Null) => None,
-                Some(value) => Some(u64::from_value(value)?),
-            },
-        })
-    }
 }
 
 /// `POST /seasons` response body.
@@ -60,15 +46,17 @@ pub struct SeasonCreated {
 /// entirely in serializable terms.
 ///
 /// Deserialization applies defaults for everything but `spec`,
-/// `mechanism`, and `budget`: `kind` defaults to `"Marginal"`,
-/// `budget_is_per_cell` and `integerize` to `false`, `filter` and
-/// `description` to absent, `seed` to `0`.
-#[derive(Debug, Clone, Serialize)]
+/// `mechanism`, and `budget` (absent or `null` reads as the default):
+/// `kind` defaults to `"Marginal"`, `budget_is_per_cell` and `integerize`
+/// to `false`, `filter` and `description` to absent, `seed` to `0`. The
+/// minimal valid submission is `{spec, mechanism, budget}`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReleaseSubmission {
     /// Marginal, shapes, or flows release. Flow submissions are only
     /// accepted by quarterly-panel services, on seasons bound to a
     /// quarter with a predecessor: they tabulate the `(q-1, q)` dataset
     /// pair.
+    #[serde(default)]
     pub kind: RequestKind,
     /// The marginal spec to tabulate.
     pub spec: MarginalSpec,
@@ -78,40 +66,21 @@ pub struct ReleaseSubmission {
     /// [`budget_is_per_cell`](Self::budget_is_per_cell)).
     pub budget: PrivacyParams,
     /// Interpret [`budget`](Self::budget) as per-cell parameters.
+    #[serde(default)]
     pub budget_is_per_cell: bool,
     /// Declarative sub-population filter, if any.
+    #[serde(default)]
     pub filter: Option<FilterExpr>,
     /// Round published values to non-negative integers.
+    #[serde(default)]
     pub integerize: bool,
     /// Noise-stream seed; part of the release's identity.
+    #[serde(default)]
     pub seed: u64,
     /// Free-form label recorded in ledger and provenance (display-only:
     /// not part of the release's cache identity).
+    #[serde(default)]
     pub description: Option<String>,
-}
-
-impl Deserialize for ReleaseSubmission {
-    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
-        // Optional fields default rather than 400 — the minimal valid
-        // submission is {spec, mechanism, budget}.
-        fn opt<T: Deserialize>(v: &serde::Value, field: &str) -> Result<Option<T>, DeError> {
-            match v.get(field) {
-                None | Some(serde::Value::Null) => Ok(None),
-                Some(value) => T::from_value(value).map(Some),
-            }
-        }
-        Ok(Self {
-            kind: opt(v, "kind")?.unwrap_or(RequestKind::Marginal),
-            spec: Deserialize::from_value(serde::get_field(v, "spec")?)?,
-            mechanism: Deserialize::from_value(serde::get_field(v, "mechanism")?)?,
-            budget: Deserialize::from_value(serde::get_field(v, "budget")?)?,
-            budget_is_per_cell: opt(v, "budget_is_per_cell")?.unwrap_or(false),
-            filter: opt(v, "filter")?,
-            integerize: opt(v, "integerize")?.unwrap_or(false),
-            seed: opt(v, "seed")?.unwrap_or(0),
-            description: opt(v, "description")?,
-        })
-    }
 }
 
 impl ReleaseSubmission {
@@ -173,7 +142,7 @@ pub struct ReleaseStatusView {
 
 /// `GET /audit` response body: the agency's budget ledger, season by
 /// season, plus the service's cache and tabulation counters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AuditView {
     /// The agency's global `(α, ε[, δ])` cap.
     pub cap: PrivacyParams,
@@ -205,30 +174,8 @@ pub struct AuditView {
     pub tabulations: TabulationStats,
     /// The canonical structured snapshot (per-family admissions/denials,
     /// budget gauges, cache and service counters, latency histograms) —
-    /// the same payload `GET /metrics` returns.
+    /// the same payload `GET /metrics` returns. Absent (default) in
+    /// pre-metrics audits.
+    #[serde(default)]
     pub metrics: MetricsSnapshot,
-}
-
-impl Deserialize for AuditView {
-    /// Hand-written for wire compatibility: `metrics` postdates the first
-    /// audit payloads, so a pre-metrics audit JSON reads with an empty
-    /// snapshot instead of refusing.
-    fn from_value(v: &serde::Value) -> Result<Self, DeError> {
-        Ok(Self {
-            cap: Deserialize::from_value(serde::get_field(v, "cap")?)?,
-            reserved_epsilon: Deserialize::from_value(serde::get_field(v, "reserved_epsilon")?)?,
-            remaining_epsilon: Deserialize::from_value(serde::get_field(v, "remaining_epsilon")?)?,
-            refunded_epsilon: Deserialize::from_value(serde::get_field(v, "refunded_epsilon")?)?,
-            spent_epsilon: Deserialize::from_value(serde::get_field(v, "spent_epsilon")?)?,
-            seasons: Deserialize::from_value(serde::get_field(v, "seasons")?)?,
-            releases: Deserialize::from_value(serde::get_field(v, "releases")?)?,
-            cache_hits: Deserialize::from_value(serde::get_field(v, "cache_hits")?)?,
-            cache_entries: Deserialize::from_value(serde::get_field(v, "cache_entries")?)?,
-            tabulations: Deserialize::from_value(serde::get_field(v, "tabulations")?)?,
-            metrics: match v.get("metrics") {
-                None | Some(serde::Value::Null) => MetricsSnapshot::default(),
-                Some(value) => MetricsSnapshot::from_value(value)?,
-            },
-        })
-    }
 }

@@ -10,10 +10,11 @@
 //! and shuts down cooperatively.
 //!
 //! Hard limits keep a malicious or broken client from tying up a worker:
-//! headers are capped at [`MAX_HEAD_BYTES`], bodies at
-//! [`MAX_BODY_BYTES`], and every socket read carries a timeout.
+//! the request line and headers together are capped at
+//! [`MAX_HEAD_BYTES`] while they are read, bodies at [`MAX_BODY_BYTES`],
+//! and every socket read carries a timeout.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -113,18 +114,30 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Read one head line (request line or header) through the
+/// [`MAX_HEAD_BYTES`]-limited `head`. A line that would overrun the cap is
+/// refused with 413 as soon as the cap is read, never after the whole
+/// line has been buffered.
+fn read_head_line(
+    head: &mut Take<BufReader<&mut TcpStream>>,
+    what: &str,
+) -> Result<String, Response> {
+    let mut line = String::new();
+    head.read_line(&mut line)
+        .map_err(|e| Response::error(400, &format!("unreadable {what}: {e}")))?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(Response::error(413, "request head too large"));
+    }
+    Ok(line)
+}
+
 /// Read and parse one request off `stream`. Errors are protocol-level
 /// (malformed request line, oversized head/body, timeout) and map to a
 /// 400/413 response by the caller.
 fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
-    let mut reader = BufReader::new(stream);
-    let mut head_bytes = 0usize;
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| Response::error(400, &format!("unreadable request line: {e}")))?;
-    head_bytes += line.len();
+    let mut head = BufReader::new(stream).take(MAX_HEAD_BYTES as u64);
+    let line = read_head_line(&mut head, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -142,14 +155,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| Response::error(400, &format!("unreadable header: {e}")))?;
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(Response::error(413, "request head too large"));
-        }
+        let header = read_head_line(&mut head, "header")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -167,7 +173,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
         return Err(Response::error(413, "request body too large"));
     }
     let mut body = vec![0u8; content_length];
-    reader
+    head.into_inner()
         .read_exact(&mut body)
         .map_err(|e| Response::error(400, &format!("truncated body: {e}")))?;
     let body = String::from_utf8(body).map_err(|_| Response::error(400, "body is not UTF-8"))?;

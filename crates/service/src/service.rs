@@ -389,6 +389,10 @@ impl ReleaseService {
     /// Stop accepting requests, drain every season's queue, persist
     /// everything, release all leases, and join every thread. Consumes
     /// the service; the agency directory is reopenable afterwards.
+    ///
+    /// Persisting everything includes the metrics snapshot: workers
+    /// write seasons directly, so the counters since the last season
+    /// create or close are flushed here, once every thread has joined.
     pub fn shutdown(mut self) {
         self.http.shutdown();
         let workers =
@@ -397,6 +401,10 @@ impl ReleaseService {
             // Queued jobs drain first — Shutdown lands behind them.
             let _ = worker.tx.send(Job::Shutdown);
             let _ = worker.join.join();
+        }
+        let agency = self.shared.agency.lock().expect("agency lock poisoned");
+        if agency.flush_metrics().is_err() {
+            self.shared.metrics.service.persist_failures.inc();
         }
         // `self.shared` is the last Arc now (HTTP and workers joined), so
         // dropping it drops the AgencyStore and releases its lease.

@@ -372,3 +372,57 @@ fn failed_registry_writes_are_counted_and_releases_still_complete() {
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Send `request` raw and return the status line of the reply.
+fn raw_status(addr: std::net::SocketAddr, request: &[u8]) -> String {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream.write_all(request).expect("write");
+    let mut status = String::new();
+    BufReader::new(stream)
+        .read_line(&mut status)
+        .expect("status line");
+    status.trim_end().to_string()
+}
+
+#[test]
+fn oversized_request_heads_are_refused_with_413() {
+    let dir = tmp_dir("head-cap");
+    let cap = PrivacyParams::pure(ALPHA, 1.0);
+    let service =
+        ReleaseService::start(&dir, dataset(), ServiceConfig::new(cap)).expect("service starts");
+    let long_path = format!("/{}", "a".repeat(20 * 1024));
+    // A request line over the head cap, with or without its line end.
+    let request = format!("GET {long_path} HTTP/1.1\r\nHost: s\r\n\r\n");
+    assert_eq!(
+        raw_status(service.addr(), request.as_bytes()),
+        "HTTP/1.1 413 Payload Too Large"
+    );
+    // The refusal does not wait for the line to end: the client below
+    // keeps its connection open and never sends a newline.
+    let unterminated = format!("GET {long_path}");
+    assert_eq!(
+        raw_status(service.addr(), unterminated.as_bytes()),
+        "HTTP/1.1 413 Payload Too Large"
+    );
+    // Headers that overrun the cap together are refused the same way.
+    let many_headers = format!(
+        "GET /audit HTTP/1.1\r\n{}\r\n",
+        "X-Pad: 0123456789abcdef0123456789abcdef\r\n".repeat(500)
+    );
+    assert_eq!(
+        raw_status(service.addr(), many_headers.as_bytes()),
+        "HTTP/1.1 413 Payload Too Large"
+    );
+    // A head under the cap is still served.
+    let ok = format!(
+        "GET /audit HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "b".repeat(8 * 1024)
+    );
+    assert_eq!(raw_status(service.addr(), ok.as_bytes()), "HTTP/1.1 200 OK");
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}

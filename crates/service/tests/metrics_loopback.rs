@@ -306,3 +306,62 @@ fn openmetrics_exposition_mirrors_the_json_snapshot() {
     service.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn graceful_shutdown_persists_counters_since_the_last_season_commit() {
+    let dir = tmp_dir("shutdown-flush");
+    let cap = PrivacyParams::pure(ALPHA, 2.0);
+    let service =
+        ReleaseService::start(&dir, dataset(), ServiceConfig::new(cap)).expect("service starts");
+    let client = Client::new(service.addr());
+    // The season create is the last season-commit flush point: every
+    // counter below moves only after it.
+    client
+        .create_season("s", PrivacyParams::pure(ALPHA, 1.0))
+        .expect("season fits under the cap");
+    let admitted = client
+        .submit("s", &submission(county(), 0.25, 7))
+        .expect("submit accepted");
+    let done = client
+        .wait_for(admitted.id, WAIT)
+        .expect("release finishes");
+    assert_eq!(done.status, "complete", "error: {:?}", done.error);
+    let denied = client
+        .submit("s", &submission(county_by_age(), 0.9, 8))
+        .expect("submission accepted for queuing");
+    assert_eq!(
+        client.wait_for(denied.id, WAIT).expect("refusal").status,
+        "failed"
+    );
+    let repeat = client
+        .submit("s", &submission(county(), 0.25, 7))
+        .expect("repeat accepted");
+    assert!(repeat.cached, "identical request must be a cache hit");
+    let before = drained(&client);
+    assert_eq!(before.caches.public_hits, 1);
+    assert_eq!(family(&before, "marginal").denied_total, 1);
+    service.shutdown();
+
+    let service = ReleaseService::start(&dir, dataset(), ServiceConfig::new(cap))
+        .expect("service reopens the same agency");
+    let after = Client::new(service.addr())
+        .metrics()
+        .expect("GET /metrics after restart");
+    let (marginal, marginal_before) = (family(&after, "marginal"), family(&before, "marginal"));
+    assert_eq!(after.caches.public_hits, 1, "cache hits survive shutdown");
+    assert_eq!(marginal.denied_total, 1, "denials survive shutdown");
+    assert_eq!(marginal.accepted_total, 1);
+    assert_eq!(
+        marginal.latency.count, marginal_before.latency.count,
+        "latency histograms survive shutdown"
+    );
+    assert!(
+        after.service.http_2xx >= before.service.http_2xx,
+        "HTTP counters survive shutdown: {} < {}",
+        after.service.http_2xx,
+        before.service.http_2xx
+    );
+    assert_eq!(after.service.persist_failures, 0);
+    service.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
